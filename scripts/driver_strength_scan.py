@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from qsearch import StateVector, discrimination_time, evolve_trajectories
-from qsearch.cli import build_driver
+from qsearch.bound import build_driver
 
 
 def main():

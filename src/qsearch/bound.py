@@ -26,23 +26,18 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BasisError, DimensionError, ScheduleError
-from .linalg import HermitianOperator, RankOneHamiltonian, StateVector
+from .linalg import HermitianOperator, RankOneHamiltonian, StateVector, propagate
 
 ORTHONORMAL_TOL = 1e-10
-
-DRIVER_KINDS = ("constant-rank-one", "constant-dense", "piecewise-constant-dense")
 
 
 @dataclass(frozen=True)
 class DriverSchedule:
     """Piecewise-constant driver: ordered (duration, operator) segments."""
 
-    kind: str
     segments: tuple[tuple[float, HermitianOperator], ...]
 
     def __post_init__(self):
-        if self.kind not in DRIVER_KINDS:
-            raise ValueError(f"unknown driver kind {self.kind!r}")
         if not self.segments:
             raise ValueError("schedule needs at least one segment")
         dims = {op.dim for _, op in self.segments}
@@ -62,11 +57,11 @@ class DriverSchedule:
 
     @classmethod
     def constant(cls, op: HermitianOperator, horizon: float) -> "DriverSchedule":
-        return cls(kind="constant-dense", segments=((float(horizon), op),))
+        return cls(segments=((float(horizon), op),))
 
     @classmethod
     def rank_one(cls, term: RankOneHamiltonian, horizon: float) -> "DriverSchedule":
-        return cls(kind="constant-rank-one", segments=((float(horizon), term.matrix()),))
+        return cls.constant(term.matrix(), horizon)
 
     @classmethod
     def zero(cls, n: int, horizon: float) -> "DriverSchedule":
@@ -78,10 +73,40 @@ class DriverSchedule:
     ) -> "DriverSchedule":
         if len(ops) != len(durations):
             raise ValueError("need one duration per operator")
-        return cls(
-            kind="piecewise-constant-dense",
-            segments=tuple((float(d), op) for d, op in zip(durations, ops)),
+        return cls(segments=tuple((float(d), op) for d, op in zip(durations, ops)))
+
+
+def _random_hermitian(n: int, spectral_norm: float, rng: np.random.Generator) -> HermitianOperator:
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (g + g.conj().T) / 2.0
+    top = float(np.max(np.abs(np.linalg.eigvalsh(h))))
+    return HermitianOperator(h * (spectral_norm / top))
+
+
+def build_driver(
+    family: str,
+    n: int,
+    energy: float,
+    norm_mult: float,
+    horizon: float,
+    rng: np.random.Generator,
+    segments: int = 10,
+) -> DriverSchedule:
+    """Driver schedule for one of the experiment families ("paper", "zero",
+    "random-dense", "piecewise"); random families set the spectral norm to
+    energy * norm_mult."""
+    if family == "paper":
+        return DriverSchedule.rank_one(
+            RankOneHamiltonian(energy * norm_mult, StateVector.uniform(n)), horizon
         )
+    if family == "zero":
+        return DriverSchedule.zero(n, horizon)
+    if family == "random-dense":
+        return DriverSchedule.constant(_random_hermitian(n, energy * norm_mult, rng), horizon)
+    if family == "piecewise":
+        ops = [_random_hermitian(n, energy * norm_mult, rng) for _ in range(segments)]
+        return DriverSchedule.piecewise(ops, [horizon / segments] * segments)
+    raise ValueError(f"unknown driver family {family!r}")
 
 
 def _check_orthonormal(basis_rows: np.ndarray) -> None:
@@ -141,8 +166,9 @@ def _propagate_schedule(
 ) -> np.ndarray:
     """Evolve psi0 across the grid under a piecewise-constant Hamiltonian.
 
-    Each segment is handled in its eigenbasis, so a state at grid time t
-    inside a segment is exactly V exp(-i L (t - t_entry)) V^H psi_entry.
+    Each segment is one ``propagate`` call from its entry state, at the
+    segment's grid times and then at its end; that last row is the state
+    handed to the next segment.
     """
     out = np.empty((grid.shape[0], psi0.shape[0]), dtype=np.complex128)
     out[0] = psi0
@@ -156,15 +182,11 @@ def _propagate_schedule(
         hi = int(np.searchsorted(grid, seg_end, side="right"))
         if seg_idx == len(ham_per_segment) - 1:
             hi = grid.shape[0]  # absorb horizon-level roundoff into the last segment
-        evals, vecs = np.linalg.eigh(mat)
-        coeffs = vecs.conj().T @ psi
-        if hi > lo:
-            rel = np.maximum(grid[lo:hi] - t_entry, 0.0)
-            out[lo:hi] = (vecs @ (np.exp(-1j * np.outer(evals, rel)) * coeffs[:, None])).T
-            lo = hi
-        dur = seg_end - t_entry
-        psi = vecs @ (np.exp(-1j * evals * dur) * coeffs)
-        t_entry = seg_end
+        rel = np.maximum(grid[lo:hi] - t_entry, 0.0)
+        rows = propagate(mat, psi, np.append(rel, seg_end - t_entry))
+        out[lo:hi] = rows[:-1]
+        psi = rows[-1]
+        lo, t_entry = hi, seg_end
     return out
 
 

@@ -5,18 +5,16 @@ experiment families and emit a self-describing report (JSON schema "v1" or
 CSV with comment headers) embedding the config, seed, tool version and all
 derived constants, so downstream plotting needs no side channel. Exit codes:
 0 pass, 1 numerical-check failure, 2 usage error. Every command is
-deterministic given its full flag set, and reruns produce byte-identical
-files.
+deterministic given its full flag set, and reruns at a fixed BLAS thread
+count produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +28,7 @@ from .analog import (
     success_probability,
     two_level_eigenvalues,
 )
-from .bound import DriverSchedule, discrimination_time, evolve_trajectories
+from .bound import build_driver, discrimination_time, evolve_trajectories
 from .errors import QSearchError
 from .grover import (
     GroverInstance,
@@ -39,7 +37,7 @@ from .grover import (
     rotation_angle,
     run_grover,
 )
-from .linalg import HermitianOperator, RankOneHamiltonian, StateVector, inner_product
+from .linalg import RankOneHamiltonian, StateVector, inner_product, propagate
 from .statistics import GENERATOR_NAME, overlap_statistics, random_state
 
 SCHEMA = "v1"
@@ -51,102 +49,56 @@ GROVER_PASS_TOL = 1e-9
 # eigendecomposition; grover and stats scale with N and need no cap.
 MAX_DENSE_DIM = 4096
 
-
-def _positive(value: float, name: str) -> float:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive, got {value}")
-    return float(value)
+# Largest time grid a command builds: 10^4 times the default 1001 points.
+MAX_GRID_STEPS = 10**7
 
 
-def _check_dense_dim(n: int) -> None:
-    if n > MAX_DENSE_DIM:
-        raise ValueError(f"--n capped at {MAX_DENSE_DIM} for dense-operator commands, got {n}")
+class UsageError(Exception):
+    """Flags that parse one by one but together ask for something unbuildable;
+    ``main`` reports it as a usage error (exit 2)."""
 
 
-@dataclass(frozen=True)
-class AnalogConfig:
-    n: int
-    energy: float
-    w: str
-    seed: int
-    dt: float | None
-    horizon: float | None
+def _int_at_least(lo: int, hi: int | None = None):
+    """argparse type: an integer no less than lo (and no more than hi)."""
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"--n must be >= 2, got {self.n}")
-        _check_dense_dim(self.n)
-        _positive(self.energy, "--energy")
-        if self.dt is not None:
-            _positive(self.dt, "--dt")
-        if self.horizon is not None:
-            _positive(self.horizon, "--horizon")
-        if self.w not in ("random", "s"):
-            idx = int(self.w)
-            if not 0 <= idx < self.n:
-                raise ValueError(f"--w index {idx} out of range for --n {self.n}")
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {value}")
+        return value
+
+    return parse
 
 
-@dataclass(frozen=True)
-class GroverConfig:
-    n: int
-    marked: str
-    iterations: int | None
-    seed: int
+def _positive_float(hi: float = math.inf):
+    """argparse type: a finite float in (0, hi]."""
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"--n must be >= 2, got {self.n}")
-        if self.iterations is not None and self.iterations < 0:
-            raise ValueError(f"--iterations must be >= 0, got {self.iterations}")
-        if self.marked != "random":
-            idx = int(self.marked)
-            if not 0 <= idx < self.n:
-                raise ValueError(f"--marked index {idx} out of range for --n {self.n}")
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        if not (math.isfinite(value) and 0.0 < value <= hi):
+            bounds = "positive and finite" if hi == math.inf else f"in (0, {hi:g}]"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {text}")
+        return value
+
+    return parse
 
 
-@dataclass(frozen=True)
-class BoundConfig:
-    n: int
-    energy: float
-    driver: str
-    driver_norm_mult: float
-    epsilon: float
-    segments: int
-    seed: int
-    dt: float | None
-    horizon: float | None
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"--n must be >= 2, got {self.n}")
-        _check_dense_dim(self.n)
-        _positive(self.energy, "--energy")
-        _positive(self.driver_norm_mult, "--driver-norm-mult")
-        if not 0.0 < self.epsilon <= 4.0:
-            raise ValueError(f"--epsilon must lie in (0, 4], got {self.epsilon}")
-        if self.driver not in ("paper", "zero", "random-dense", "piecewise"):
-            raise ValueError(f"unknown --driver {self.driver!r}")
-        if self.segments < 1:
-            raise ValueError(f"--segments must be >= 1, got {self.segments}")
-        if self.dt is not None:
-            _positive(self.dt, "--dt")
-        if self.horizon is not None:
-            _positive(self.horizon, "--horizon")
-
-
-@dataclass(frozen=True)
-class StatsConfig:
-    n: int
-    samples: int
-    seed: int
-
-    def __post_init__(self):
-        # n = 1 is meaningful here (a pure phase, x = 1 exactly)
-        if self.n < 1:
-            raise ValueError(f"--n must be >= 1, got {self.n}")
-        if self.samples < 100:
-            raise ValueError(f"--samples must be >= 100, got {self.samples}")
+def _check_index(parser: argparse.ArgumentParser, flag: str, value: str, n: int, words: tuple) -> None:
+    """Cross-flag rule: ``value`` is one of ``words`` or a basis index below --n."""
+    try:
+        ok = value in words or 0 <= int(value) < n
+    except ValueError:
+        ok = False
+    if not ok:
+        parser.error(f"argument {flag}: expected {'/'.join(words)} or an index below --n {n}, got {value!r}")
 
 
 def _fmt(value) -> str:
@@ -182,21 +134,24 @@ def _write_report(payload: dict, out: str | None, fmt: str) -> None:
             fh.write(text)
 
 
-def _payload_skeleton(command: str, config) -> dict:
-    return {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": command,
-        "config": dataclasses.asdict(config),
-    }
+def _payload_skeleton(command: str, cfg: argparse.Namespace) -> dict:
+    return {"schema": SCHEMA, "version": __version__, "command": command, "config": dict(vars(cfg))}
 
 
 def _time_grid(dt: float, horizon: float) -> np.ndarray:
-    steps = max(1, int(round(horizon / dt)))
-    return np.linspace(0.0, horizon, steps + 1)
+    """Uniform grid over [0, horizon]; a usage error when it would need more
+    than MAX_GRID_STEPS steps."""
+    # The defaults derive from --energy and can overflow or underflow to 0.
+    steps = horizon / dt if dt > 0.0 else math.inf
+    if not steps <= MAX_GRID_STEPS:  # also rejects inf and nan
+        raise UsageError(
+            f"the time grid (from --energy/--horizon/--dt) needs {steps:g} steps, "
+            f"more than {MAX_GRID_STEPS}"
+        )
+    return np.linspace(0.0, horizon, max(1, int(round(steps))) + 1)
 
 
-def cmd_analog(cfg: AnalogConfig) -> tuple[int, dict]:
+def cmd_analog(cfg: argparse.Namespace) -> tuple[int, dict]:
     n, e = cfg.n, cfg.energy
     s = StateVector.uniform(n)
     rng = np.random.default_rng(cfg.seed)
@@ -219,10 +174,8 @@ def cmd_analog(cfg: AnalogConfig) -> tuple[int, dict]:
         RankOneHamiltonian(e, w), RankOneHamiltonian(e, s)
     )
     start = absorb_phase(s, w)
-    evals, vecs = np.linalg.eigh(ham.mat)
-    coeffs = vecs.conj().T @ start.amps
-    states = vecs @ (np.exp(-1j * np.outer(evals, grid)) * coeffs[:, None])
-    p_full = np.abs(w.amps.conj() @ states) ** 2
+    states = propagate(ham.mat, start.amps, grid)
+    p_full = np.abs(w.amps.conj() @ states.T) ** 2
     p_closed = np.array([success_probability(system, t) for t in grid])
     deviation = np.abs(p_closed - p_full)
     max_dev = float(deviation.max())
@@ -249,7 +202,7 @@ def cmd_analog(cfg: AnalogConfig) -> tuple[int, dict]:
     return (0 if max_dev < ANALOG_PASS_TOL else 1), payload
 
 
-def cmd_grover(cfg: GroverConfig) -> tuple[int, dict]:
+def cmd_grover(cfg: argparse.Namespace) -> tuple[int, dict]:
     n = cfg.n
     rng = np.random.default_rng(cfg.seed)
     marked = int(rng.integers(n)) if cfg.marked == "random" else int(cfg.marked)
@@ -290,39 +243,7 @@ def cmd_grover(cfg: GroverConfig) -> tuple[int, dict]:
     return (0 if max_dev < GROVER_PASS_TOL else 1), payload
 
 
-def _random_hermitian(n: int, spectral_norm: float, rng: np.random.Generator) -> HermitianOperator:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = (g + g.conj().T) / 2.0
-    top = float(np.max(np.abs(np.linalg.eigvalsh(h))))
-    return HermitianOperator(h * (spectral_norm / top))
-
-
-def build_driver(
-    family: str,
-    n: int,
-    energy: float,
-    norm_mult: float,
-    horizon: float,
-    rng: np.random.Generator,
-    segments: int = 10,
-) -> DriverSchedule:
-    """Driver schedule for one of the experiment families; random families
-    set the spectral norm to energy * norm_mult."""
-    if family == "paper":
-        return DriverSchedule.rank_one(
-            RankOneHamiltonian(energy * norm_mult, StateVector.uniform(n)), horizon
-        )
-    if family == "zero":
-        return DriverSchedule.zero(n, horizon)
-    if family == "random-dense":
-        return DriverSchedule.constant(_random_hermitian(n, energy * norm_mult, rng), horizon)
-    if family == "piecewise":
-        ops = [_random_hermitian(n, energy * norm_mult, rng) for _ in range(segments)]
-        return DriverSchedule.piecewise(ops, [horizon / segments] * segments)
-    raise ValueError(f"unknown driver family {family!r}")
-
-
-def cmd_bound(cfg: BoundConfig) -> tuple[int, dict]:
+def cmd_bound(cfg: argparse.Namespace) -> tuple[int, dict]:
     n, e = cfg.n, cfg.energy
     t_m_equiv = math.pi * math.sqrt(n) / (2.0 * e)
     horizon = cfg.horizon if cfg.horizon is not None else 2.0 * t_m_equiv
@@ -376,7 +297,7 @@ def cmd_bound(cfg: BoundConfig) -> tuple[int, dict]:
     return (0 if report.bound_satisfied else 1), payload
 
 
-def cmd_stats(cfg: StatsConfig) -> tuple[int, dict]:
+def cmd_stats(cfg: argparse.Namespace) -> tuple[int, dict]:
     sample = overlap_statistics(cfg.n, cfg.samples, cfg.seed)
     target = 1.0 / cfg.n
     ok = abs(sample.mean_x2 - target) <= 4.0 * sample.stderr_x2
@@ -406,38 +327,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qsearch {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    positive = _positive_float()
+    dense_n = _int_at_least(2, MAX_DENSE_DIM)
 
-    def common(p):
-        p.add_argument("--n", type=int, required=True, help="Hilbert space dimension (>= 2)")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    def common(p, n_type):
+        p.add_argument("--n", type=n_type, required=True, help="Hilbert space dimension (>= 2)")
+        p.add_argument("--seed", type=_int_at_least(0), default=0, help="RNG seed (default 0)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
 
     p = sub.add_parser("analog", help="closed-form vs full-space rank-one search dynamics")
-    common(p)
-    p.add_argument("--energy", type=float, default=1.0)
+    common(p, dense_n)
+    p.add_argument("--energy", type=positive, default=1.0)
     p.add_argument("--w", default="0", help="marked state: basis index, 'random', or 's' (colinear)")
-    p.add_argument("--dt", type=float, default=None, help="grid spacing (default t_m/500)")
-    p.add_argument("--horizon", type=float, default=None, help="grid end (default 2*t_m)")
+    p.add_argument("--dt", type=positive, default=None, help="grid spacing (default t_m/500)")
+    p.add_argument("--horizon", type=positive, default=None, help="grid end (default 2*t_m)")
 
     p = sub.add_parser("grover", help="digital iteration vs reduced rotation prediction")
-    common(p)
+    common(p, _int_at_least(2))
     p.add_argument("--marked", default="0", help="marked index or 'random'")
-    p.add_argument("--iterations", type=int, default=None, help="steps to run (default k*)")
+    p.add_argument("--iterations", type=_int_at_least(0), default=None, help="steps to run (default k*)")
 
     p = sub.add_parser("bound", help="divergence growth bound under a chosen driver")
-    common(p)
-    p.add_argument("--energy", type=float, default=1.0)
+    common(p, dense_n)
+    p.add_argument("--energy", type=positive, default=1.0)
     p.add_argument("--driver", choices=("paper", "zero", "random-dense", "piecewise"), default="paper")
-    p.add_argument("--driver-norm-mult", type=float, default=1.0, dest="driver_norm_mult")
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--segments", type=int, default=10, help="segments for the piecewise driver")
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--horizon", type=float, default=None)
+    p.add_argument("--driver-norm-mult", type=positive, default=1.0, dest="driver_norm_mult")
+    p.add_argument("--epsilon", type=_positive_float(4.0), default=1.0)
+    p.add_argument("--segments", type=_int_at_least(1), default=10, help="segments for the piecewise driver")
+    p.add_argument("--dt", type=positive, default=None)
+    p.add_argument("--horizon", type=positive, default=None)
 
     p = sub.add_parser("stats", help="Monte Carlo overlap statistics")
-    common(p)
-    p.add_argument("--samples", type=int, default=100_000)
+    # n = 1 is meaningful here (a pure phase, x = 1 exactly)
+    common(p, _int_at_least(1))
+    p.add_argument("--samples", type=_int_at_least(100), default=100_000)
 
     return parser
 
@@ -445,27 +369,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.command == "analog":
-            cfg = AnalogConfig(args.n, args.energy, args.w, args.seed, args.dt, args.horizon)
-            runner = cmd_analog
-        elif args.command == "grover":
-            cfg = GroverConfig(args.n, args.marked, args.iterations, args.seed)
-            runner = cmd_grover
-        elif args.command == "bound":
-            cfg = BoundConfig(
-                args.n, args.energy, args.driver, args.driver_norm_mult,
-                args.epsilon, args.segments, args.seed, args.dt, args.horizon,
-            )
-            runner = cmd_bound
-        else:
-            cfg = StatsConfig(args.n, args.samples, args.seed)
-            runner = cmd_stats
-    except ValueError as exc:
-        parser.error(str(exc))  # exits with code 2
-        raise
+    # Built per call, so a cmd_* name rebound on the module (as a tracer does)
+    # is the one that runs.
+    commands = {
+        "analog": (cmd_analog, ("n", "energy", "w", "seed", "dt", "horizon")),
+        "grover": (cmd_grover, ("n", "marked", "iterations", "seed")),
+        "bound": (cmd_bound, ("n", "energy", "driver", "driver_norm_mult", "epsilon",
+                              "segments", "seed", "dt", "horizon")),
+        "stats": (cmd_stats, ("n", "samples", "seed")),
+    }
+    runner, fields = commands[args.command]
+    if args.command == "analog":
+        _check_index(parser, "--w", args.w, args.n, ("random", "s"))
+    elif args.command == "grover":
+        _check_index(parser, "--marked", args.marked, args.n, ("random",))
+    cfg = argparse.Namespace(**{name: getattr(args, name) for name in fields})
     try:
         code, payload = runner(cfg)
+    except UsageError as exc:
+        parser.error(str(exc))  # exits with code 2
     except QSearchError as exc:
         print(f"qsearch {args.command}: {exc}", file=sys.stderr)
         return 1

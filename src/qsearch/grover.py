@@ -150,11 +150,3 @@ def sample_index(v: StateVector, rng: np.random.Generator) -> int:
     probs /= probs.sum()
     return int(rng.choice(v.dim, p=probs))
 
-
-def reduced_coordinates(inst: GroverInstance, v: StateVector) -> tuple[float, float]:
-    """Project a full state onto (|w>, |r>); valid while the amplitudes stay
-    real and equal across the unmarked indices."""
-    a_w = v.amps[inst.marked].real
-    rest = np.delete(v.amps, inst.marked).real
-    a_r = rest.sum() / math.sqrt(inst.dim - 1)
-    return float(a_w), float(a_r)

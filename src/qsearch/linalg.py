@@ -1,6 +1,6 @@
 """Dense complex linear algebra substrate: normalized state vectors,
 exactly-Hermitian operators, rank-one Hamiltonians, eigendecomposition and
-eigenbasis matrix exponentials.
+the package's one eigenbasis propagator.
 
 All values are immutable after construction (arrays are write-locked), so
 they are safe to share between threads; every operation here is a pure
@@ -175,16 +175,24 @@ def eigendecompose(h: HermitianOperator) -> tuple[np.ndarray, list[StateVector]]
     return evals, [StateVector._wrap(vecs[:, i].copy()) for i in range(h.dim)]
 
 
-def expm_apply(h: HermitianOperator, t: float, v: StateVector) -> StateVector:
-    """exp(-i h t) |v> through the eigenbasis of h.
+def propagate(mat: np.ndarray, psi: np.ndarray, times) -> np.ndarray:
+    """Rows exp(-i mat t) psi, one per entry of ``times``, from one ``eigh``.
 
-    Negative t means backward evolution. Exact up to eigendecomposition
-    error; the result keeps unit norm to ~1e-15 and is not renormalized.
+    ``mat`` is a Hermitian N x N array and ``times`` any real 1-d sequence
+    (negative t evolves backward). Every row comes from the same
+    eigendecomposition, so the result is exact up to its error; rows keep
+    unit norm to ~1e-15 and are not renormalized. The result is the
+    transpose of a C-ordered N x len(times) product.
     """
+    evals, vecs = np.linalg.eigh(mat)
+    coeffs = vecs.conj().T @ psi
+    return (vecs @ (np.exp(-1j * np.outer(evals, times)) * coeffs[:, None])).T
+
+
+def expm_apply(h: HermitianOperator, t: float, v: StateVector) -> StateVector:
+    """exp(-i h t) |v>: ``propagate`` at the single time t, with checks."""
     if h.dim != v.dim:
         raise DimensionError(f"dimension mismatch: {h.dim} vs {v.dim}")
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
-    evals, vecs = np.linalg.eigh(h.mat)
-    coeffs = vecs.conj().T @ v.amps
-    return StateVector._wrap(vecs @ (np.exp(-1j * evals * t) * coeffs))
+    return StateVector._wrap(propagate(h.mat, v.amps, [t])[0])

@@ -57,10 +57,14 @@ def random_state(n: int, rng: np.random.Generator) -> StateVector:
 def _sample_x2(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """m draws of x^2 for independent uniform pairs, chunked float32 path."""
     x2 = np.empty(m, dtype=np.float64)
+    # One buffer for every chunk: the draws land in it in C order, exactly as
+    # in a fresh (4, c, n) array, without a new allocation per chunk.
+    buf = np.empty(4 * min(_CHUNK, m) * n, dtype=np.float32)
     done = 0
     while done < m:
         c = min(_CHUNK, m - done)
-        z = rng.standard_normal((4, c, n), dtype=np.float32)
+        z = buf[: 4 * c * n].reshape(4, c, n)
+        rng.standard_normal(dtype=np.float32, out=z)
         a, b, cc, d = z
         ip_re = np.einsum("ij,ij->i", a, cc) + np.einsum("ij,ij->i", b, d)
         ip_im = np.einsum("ij,ij->i", a, d) - np.einsum("ij,ij->i", b, cc)

@@ -21,6 +21,8 @@ from qsearch import (
     sum_oracle_hamiltonians,
 )
 
+from qsearch.bound import build_driver
+
 from conftest import haar_state, random_hermitian
 
 
@@ -243,6 +245,22 @@ class TestGrowthBoundAcrossDrivers:
         # Lipschitz continuity along the grid, same rate cap
         steps = np.abs(np.diff(rep.divergence))
         assert np.all(steps <= rep.rate_cap * np.diff(grid) + 1e-6)
+
+
+class TestBuildDriver:
+    def test_families_set_segments_and_spectral_norm(self):
+        rng = np.random.default_rng(4)
+        n, e, mult = 6, 0.5, 3.0
+        for family, count in (("paper", 1), ("zero", 1), ("random-dense", 1), ("piecewise", 5)):
+            driver = build_driver(family, n, e, mult, 2.0, rng, segments=5)
+            assert len(driver.segments) == count
+            assert driver.horizon == pytest.approx(2.0)
+            norms = [np.max(np.abs(np.linalg.eigvalsh(op.mat))) for _, op in driver.segments]
+            assert norms == pytest.approx([0.0 if family == "zero" else e * mult] * count)
+
+    def test_unknown_family_is_rejected(self):
+        with pytest.raises(ValueError):
+            build_driver("warp", 4, 1.0, 1.0, 1.0, np.random.default_rng(0))
 
 
 class TestDiscriminationTime:

@@ -16,6 +16,8 @@ from qsearch import (
     inner_product,
 )
 
+from qsearch.linalg import propagate
+
 from conftest import haar_state, random_hermitian
 
 
@@ -153,6 +155,21 @@ class TestExpmApply:
     def test_rejects_nonfinite_time(self):
         with pytest.raises(ValueError):
             expm_apply(HermitianOperator(np.eye(2)), math.inf, StateVector.uniform(2))
+
+    def test_propagate_rows_for_unsorted_and_negative_times(self):
+        # H = Q diag(lam) Q^H from a known spectrum, so the reference
+        # exp(-iHt) v needs no eigendecomposition
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        lam = rng.uniform(-2.0, 2.0, 6)
+        h = HermitianOperator(q @ np.diag(lam) @ q.conj().T)
+        v = haar_state(6, rng)
+        times = [0.0, 2.5, -1.25, 0.4]
+        rows = propagate(h.mat, v.amps, times)
+        assert rows.shape == (4, 6)
+        for t, row in zip(times, rows):
+            expected = q @ (np.exp(-1j * lam * t) * (q.conj().T @ v.amps))
+            assert np.max(np.abs(row - expected)) < 1e-12
 
     def test_full_space_matches_two_level_closed_form(self):
         # H = E|w><w| + E|s><s| at N = 4 confines s to the (w, r) plane;

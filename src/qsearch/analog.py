@@ -4,8 +4,9 @@ The full Hamiltonian E|w><w| + E|s><s| confines the motion to the plane
 spanned by the target |w> and the unit vector |r> orthogonal to it inside
 that plane. With x the (rephased, non-negative) overlap <s|w>, the state
 rotates at angular frequency E*x and reaches |w> with probability one at
-t = pi / (2 E x). Everything here is the exact trigonometric solution; the
-generic propagator in ``linalg`` serves as its independent cross-check.
+t = pi / (2 E x). Everything here but ``full_space_probability`` is the exact
+trigonometric solution; that function propagates the same plane with the
+generic propagator in ``linalg`` and serves as its independent cross-check.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     NoRotationError,
     UnequalScaleError,
 )
-from .linalg import HermitianOperator, RankOneHamiltonian, StateVector, inner_product
+from .linalg import HermitianOperator, RankOneHamiltonian, StateVector, inner_product, propagate
 
 # |<s|w>| at or above this is treated as colinear: no orthogonal complement.
 COLINEAR_TOL = 1e-12
@@ -131,10 +132,33 @@ def measurement_time(sys: TwoLevelSystem) -> float:
     return math.pi / (2.0 * sys.energy * sys.overlap)
 
 
+def full_space_probability(energy: float, s: StateVector, w: StateVector, times) -> np.ndarray:
+    """P(t) = |<w| exp(-i H t) |s>|^2 for H = E|w><w| + E|s><s|, one entry
+    per time: the full-space success probability, which a global phase on
+    the start (as ``absorb_phase`` applies) leaves unchanged.
+
+    Exact for any N without an N x N matrix: with B = [w, s], H B = B (E G)
+    for the Gram matrix G = B^dagger B = [[1, g], [conj g, 1]], g = <w|s>, so
+    a state B c stays in span{w, s} and its coefficients evolve as
+    exp(-i E (G - I) t) c from c0 = (0, 1). The E I shift is a global phase;
+    it leaves a zero diagonal, so no eigenvalue near E is rounded.
+    <w|B c> = (G c)_0. No N-vector is projected onto a basis or summed into
+    c0, so c0 carries no O(sqrt(N) eps) rounding, and the colinear case
+    (singular G) stays exact.
+    """
+    if s.dim != w.dim:
+        raise DimensionError(f"dimension mismatch: {s.dim} vs {w.dim}")
+    g = inner_product(w, s)
+    gram = np.array([[1.0, g], [g.conjugate(), 1.0]])
+    coeffs = propagate(energy * (gram - np.eye(2)), np.array([0.0, 1.0]), times)
+    return np.abs(coeffs[:, 0] + g * coeffs[:, 1]) ** 2
+
+
 def assemble_search_hamiltonian(
     oracle: RankOneHamiltonian, driver: RankOneHamiltonian
 ) -> HermitianOperator:
-    """Full N x N sum of the oracle and driver rank-one terms.
+    """Full N x N sum of the oracle and driver rank-one terms: the dense
+    small-N reference that ``full_space_probability`` is tested against.
 
     Unequal scales are accepted here (useful for stronger-driver
     experiments); the closed-form path requires equal scales and is guarded

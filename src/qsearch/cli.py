@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -22,12 +23,13 @@ from . import __version__
 from .analog import (
     COLINEAR_TOL,
     TwoLevelSystem,
-    absorb_phase,
-    assemble_search_hamiltonian,
+    full_space_probability,
     measurement_time,
     success_probability,
     two_level_eigenvalues,
 )
+# Unused here; kept importable because the benchmark's tracer wraps it by name.
+from .analog import assemble_search_hamiltonian  # noqa: F401
 from .bound import build_driver, discrimination_time, evolve_trajectories
 from .errors import QSearchError
 from .grover import (
@@ -37,25 +39,44 @@ from .grover import (
     rotation_angle,
     run_grover,
 )
-from .linalg import RankOneHamiltonian, StateVector, inner_product, propagate
-from .statistics import GENERATOR_NAME, overlap_statistics, random_state
+from .linalg import StateVector, inner_product
+from .statistics import _CHUNK, GENERATOR_NAME, overlap_statistics, random_state
 
 SCHEMA = "v1"
 
 ANALOG_PASS_TOL = 1e-8
 GROVER_PASS_TOL = 1e-9
 
-# Dense N x N commands stay within the design envelope for direct
-# eigendecomposition; grover and stats scale with N and need no cap.
+# bound builds and eigendecomposes N x N matrices, one per oracle, so its N
+# stays within the design envelope for direct eigendecomposition.
 MAX_DENSE_DIM = 4096
+
+# analog, grover and stats scale with N; each checks its byte estimate
+# (``_estimated_bytes``) against this share of physical memory first, and a
+# time grid checks its report rows.
+MEMORY_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
 
 # Largest time grid a command builds: 10^4 times the default 1001 points.
 MAX_GRID_STEPS = 10**7
+
+# Bytes a time-grid point or grover step costs in a report: a row of 4 to 6
+# numbers as a Python list and as JSON text (measured: analog 0.83 kB, bound
+# 1.1 kB, grover 0.75 kB).
+REPORT_ROW_BYTES = 1200
 
 
 class UsageError(Exception):
     """Flags that parse one by one but together ask for something unbuildable;
     ``main`` reports it as a usage error (exit 2)."""
+
+
+def _check_budget(nbytes: int, what: str) -> None:
+    """A usage error when ``what`` needs more than MEMORY_BUDGET bytes."""
+    if nbytes > MEMORY_BUDGET:
+        raise UsageError(  # MiB by integer shift: an --n of any size can be printed
+            f"{what} needs about {nbytes >> 20} MiB, more than the "
+            f"{MEMORY_BUDGET >> 20} MiB budget (half of physical memory)"
+        )
 
 
 def _int_at_least(lo: int, hi: int | None = None):
@@ -101,6 +122,37 @@ def _check_index(parser: argparse.ArgumentParser, flag: str, value: str, n: int,
         parser.error(f"argument {flag}: expected {'/'.join(words)} or an index below --n {n}, got {value!r}")
 
 
+def _estimated_bytes(command: str, cfg: argparse.Namespace) -> int:
+    """Peak bytes an O(N) command allocates, from peak-RSS slopes measured
+    with numpy 2.4 on CPython 3.11 (0 for bound, which MAX_DENSE_DIM caps).
+    Integer arithmetic, so any --n gives an estimate."""
+    if command == "analog":
+        # s and w as arrays, as lists of float pairs and as JSON text
+        return 1100 * cfg.n
+    if command == "grover":
+        # three state vectors, then one report row per step; k* < sqrt(N)
+        steps = cfg.iterations if cfg.iterations is not None else math.isqrt(cfg.n)
+        return 64 * cfg.n + REPORT_ROW_BYTES * (steps + 1)
+    if command == "stats":
+        # one float32 buffer of 4 coordinates per dimension per chunk sample,
+        # then a few float64 arrays of one entry per sample
+        return 16 * cfg.n * min(_CHUNK, cfg.samples) + 24 * cfg.samples
+    return 0
+
+
+def _non_finite_entry(payload: dict) -> str | None:
+    """Where the report holds an inf or nan (which JSON cannot hold), or None."""
+    for section in ("derived", "summary"):
+        for key, val in payload[section].items():
+            if isinstance(val, float) and not math.isfinite(val):
+                return f"{section}.{key}"
+    for row in payload["series"]["rows"]:
+        for column, val in zip(payload["series"]["columns"], row):
+            if isinstance(val, float) and not math.isfinite(val):
+                return f"series column {column}"
+    return None
+
+
 def _fmt(value) -> str:
     if value is None:
         return "nan"
@@ -140,7 +192,7 @@ def _payload_skeleton(command: str, cfg: argparse.Namespace) -> dict:
 
 def _time_grid(dt: float, horizon: float) -> np.ndarray:
     """Uniform grid over [0, horizon]; a usage error when it would need more
-    than MAX_GRID_STEPS steps."""
+    than MAX_GRID_STEPS steps or its report rows more than MEMORY_BUDGET."""
     # The defaults derive from --energy and can overflow or underflow to 0.
     steps = horizon / dt if dt > 0.0 else math.inf
     if not steps <= MAX_GRID_STEPS:  # also rejects inf and nan
@@ -148,7 +200,9 @@ def _time_grid(dt: float, horizon: float) -> np.ndarray:
             f"the time grid (from --energy/--horizon/--dt) needs {steps:g} steps, "
             f"more than {MAX_GRID_STEPS}"
         )
-    return np.linspace(0.0, horizon, max(1, int(round(steps))) + 1)
+    points = max(1, int(round(steps))) + 1
+    _check_budget(points * REPORT_ROW_BYTES, f"the time grid (from --energy/--horizon/--dt) of {points} points")
+    return np.linspace(0.0, horizon, points)
 
 
 def cmd_analog(cfg: argparse.Namespace) -> tuple[int, dict]:
@@ -170,12 +224,7 @@ def cmd_analog(cfg: argparse.Namespace) -> tuple[int, dict]:
     horizon = cfg.horizon if cfg.horizon is not None else 2.0 * t_m
     grid = _time_grid(dt, horizon)
 
-    ham = assemble_search_hamiltonian(
-        RankOneHamiltonian(e, w), RankOneHamiltonian(e, s)
-    )
-    start = absorb_phase(s, w)
-    states = propagate(ham.mat, start.amps, grid)
-    p_full = np.abs(w.amps.conj() @ states.T) ** 2
+    p_full = full_space_probability(e, s, w, grid)
     p_closed = np.array([success_probability(system, t) for t in grid])
     deviation = np.abs(p_closed - p_full)
     max_dev = float(deviation.max())
@@ -245,6 +294,10 @@ def cmd_grover(cfg: argparse.Namespace) -> tuple[int, dict]:
 
 def cmd_bound(cfg: argparse.Namespace) -> tuple[int, dict]:
     n, e = cfg.n, cfg.energy
+    if not math.isfinite(e * cfg.driver_norm_mult):
+        raise UsageError(
+            f"the driver norm --energy * --driver-norm-mult = {e:g} * {cfg.driver_norm_mult:g} overflows"
+        )
     t_m_equiv = math.pi * math.sqrt(n) / (2.0 * e)
     horizon = cfg.horizon if cfg.horizon is not None else 2.0 * t_m_equiv
     dt = cfg.dt if cfg.dt is not None else t_m_equiv / 500.0
@@ -328,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qsearch {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     positive = _positive_float()
-    dense_n = _int_at_least(2, MAX_DENSE_DIM)
 
     def common(p, n_type):
         p.add_argument("--n", type=n_type, required=True, help="Hilbert space dimension (>= 2)")
@@ -337,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
 
     p = sub.add_parser("analog", help="closed-form vs full-space rank-one search dynamics")
-    common(p, dense_n)
+    common(p, _int_at_least(2))
     p.add_argument("--energy", type=positive, default=1.0)
     p.add_argument("--w", default="0", help="marked state: basis index, 'random', or 's' (colinear)")
     p.add_argument("--dt", type=positive, default=None, help="grid spacing (default t_m/500)")
@@ -349,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=_int_at_least(0), default=None, help="steps to run (default k*)")
 
     p = sub.add_parser("bound", help="divergence growth bound under a chosen driver")
-    common(p, dense_n)
+    common(p, _int_at_least(2, MAX_DENSE_DIM))
     p.add_argument("--energy", type=positive, default=1.0)
     p.add_argument("--driver", choices=("paper", "zero", "random-dense", "piecewise"), default="paper")
     p.add_argument("--driver-norm-mult", type=positive, default=1.0, dest="driver_norm_mult")
@@ -385,12 +437,16 @@ def main(argv: list[str] | None = None) -> int:
         _check_index(parser, "--marked", args.marked, args.n, ("random",))
     cfg = argparse.Namespace(**{name: getattr(args, name) for name in fields})
     try:
+        _check_budget(_estimated_bytes(args.command, cfg), "this run")
         code, payload = runner(cfg)
     except UsageError as exc:
         parser.error(str(exc))  # exits with code 2
     except QSearchError as exc:
         print(f"qsearch {args.command}: {exc}", file=sys.stderr)
         return 1
+    bad = _non_finite_entry(payload)
+    if bad is not None:
+        parser.error(f"the report's {bad} is not finite: the flags ask for numbers beyond the range of a double")
     _write_report(payload, args.out, args.fmt)
     if code != 0:
         checks = payload.get("summary", {})

@@ -18,6 +18,7 @@ from qsearch import (
     eigendecompose,
     evolve_closed_form,
     expm_apply,
+    full_space_probability,
     measurement_time,
     reduced_basis,
     success_probability,
@@ -25,6 +26,8 @@ from qsearch import (
     two_level_from_hamiltonians,
     two_level_hamiltonian,
 )
+
+from qsearch.linalg import propagate
 
 from conftest import haar_state
 
@@ -238,6 +241,28 @@ def test_full_space_agrees_with_reduced_dynamics_across_dims():
             assert abs(a_r - reduced.amp_r) < 1e-9
             residual = full.amps - a_w * w.amps - a_r * r.amps
             assert np.linalg.norm(residual) < 1e-10
+
+
+@pytest.mark.parametrize("energy, periods", [(1.0, 1), (0.5, 1), (3.0, 1), (1.0, 10)])
+def test_in_plane_probability_matches_dense_propagation(energy, periods):
+    # The dense N x N propagation is the reference: random complex pairs, a
+    # basis target and the colinear w = s (singular Gram matrix), over one
+    # period of P(t) or ten. The closed form is matched more tightly than the
+    # dense path can: unshifted, E G's eigenvalue rounding gives ~1e-13 at
+    # ten periods.
+    rng = np.random.default_rng(202)
+    for n in (2, 4, 8, 16, 32, 64, 128, 256):
+        s = haar_state(n, rng)
+        for w in (haar_state(n, rng), StateVector.basis_state(n, n - 1), s):
+            x = min(abs(np.vdot(s.amps, w.amps)), 1.0)
+            times = np.linspace(0.0, periods * math.pi / (energy * x), 301)
+            h = assemble_search_hamiltonian(RankOneHamiltonian(energy, w), RankOneHamiltonian(energy, s))
+            states = propagate(h.mat, absorb_phase(s, w).amps, times)
+            dense = np.abs(states @ w.amps.conj()) ** 2
+            p_full = full_space_probability(energy, s, w, times)
+            assert np.max(np.abs(p_full - dense)) <= 1e-12
+            closed = [success_probability(TwoLevelSystem(energy, x), float(t)) for t in times]
+            assert np.max(np.abs(p_full - closed)) <= 3e-14
 
 
 @given(

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -8,7 +9,10 @@ import sys
 import numpy as np
 import pytest
 
+import qsearch.cli as cli
 from qsearch.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run_cli(args, tmp_path, name="report.json"):
@@ -184,7 +188,6 @@ def test_every_command_is_deterministic(tmp_path):
         "analog --n 4 --energy inf",
         "bound --n 4 --epsilon nan",
         "bound --n 4 --epsilon 9",
-        "analog --n 5000",
         "bound --n 5000",
         "bound --n 4 --driver warp",
         # the target index against --n
@@ -192,6 +195,13 @@ def test_every_command_is_deterministic(tmp_path):
         "analog --n 4 --w 9",
         "grover --n 4 --marked x",
         "grover --n 4 --marked 99",
+        # byte estimates above the memory budget
+        "analog --n 1000000000000",
+        "grover --n 1000000000000",
+        "stats --n 1000000000000 --samples 100",
+        # an overflowing driver norm, and a derived value beyond double range
+        "bound --n 8 --energy 10 --driver-norm-mult 1e308",
+        "bound --n 8 --energy 1e300",
     ],
     ids=lambda argv: argv.replace(" ", "_"),
 )
@@ -204,11 +214,51 @@ def test_usage_errors_exit_2_with_one_error_line(argv, capsys):
     assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
 
 
+@pytest.mark.parametrize("command", ["analog", "bound"])
+def test_time_grid_rows_count_against_the_memory_budget(command, monkeypatch, capsys):
+    # 10^5 + 1 report rows need about 115 MiB, over a 64 MiB budget
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", 64 << 20)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "4", "--dt", "1e-5", "--horizon", "1", "--out", os.devnull])
+    assert exc.value.code == 2
+    assert "the time grid (from --energy/--horizon/--dt) of 100001 points" in capsys.readouterr().err
+
+
 def test_grid_error_names_the_flags_it_derives_from(capsys):
     # 2 * energy overflows, so the default t_m and dt are 0: no --dt was given
     with pytest.raises(SystemExit):
         main(["bound", "--n", "4", "--energy", "1e308", "--out", os.devnull])
     assert "--energy" in capsys.readouterr().err
+
+
+def test_analog_report_is_independent_of_blas_thread_count(tmp_path):
+    # Holds for this case; at N = 262144 the two thread counts still differ.
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsearch.cli", "analog", "--n", "512", "--w", "random",
+             "--seed", "7", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_benchmark_tracer_installs_and_removes_its_wrappers(tmp_path, monkeypatch):
+    # benchmark/spans.py wraps qsearch.cli names by getattr; a rename must fail here.
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "benchmark" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_spans", spans)  # dataclasses look it up
+    spec.loader.exec_module(spans)
+    before = cli.cmd_analog
+    tracer = spans.Tracer()
+    with spans.traced(tracer):
+        assert main(["analog", "--n", "4", "--out", str(tmp_path / "a.json")]) == 0
+    assert cli.cmd_analog is before
+    assert {"cli.cmd", "analog.closed_form", "cli.report_write"} <= {s.name for s in tracer.spans}
 
 
 def test_driver_strength_scan_script_runs():

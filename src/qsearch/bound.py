@@ -4,16 +4,18 @@ For every candidate target w, the state evolved under E|w><w| + H_D(t) is
 compared against the reference evolved under H_D(t) alone. The summed
 squared distance D(t) grows at most 2*E*sqrt(N) per unit time regardless of
 the driver, which is what caps how fast any drive can reveal w. This module
-evolves all N + 1 trajectories over a time grid, computes D(t), checks the
-integrated and derivative forms of the growth bound, and locates the first
-time the trajectories become distinguishable at a given threshold.
+evolves all N + 1 trajectories over a time grid, keeping per oracle only
+what the bound reads (its distance to the reference and <w|psi_w(t)>), then
+computes D(t), checks the integrated and derivative forms of the growth
+bound, and locates the first time the trajectories become distinguishable
+at a given threshold.
 
 Drivers are piecewise-constant schedules; each segment is propagated exactly
 (up to eigendecomposition error) in its own eigenbasis, so no ODE-stepping
 error pollutes the bound checks. A smooth driver can be approximated by
 refining segments; convergence of that approximation is the caller's
 responsibility. The per-oracle trajectories are independent and could run in
-parallel; they are assembled in a fixed order so results never depend on
+parallel; they are reduced in a fixed order so results never depend on
 scheduling.
 """
 
@@ -25,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BasisError, DimensionError, ScheduleError
+from .errors import BasisError, DimensionError, NormalizationError, ScheduleError
 from .linalg import HermitianOperator, RankOneHamiltonian, StateVector, propagate
 
 ORTHONORMAL_TOL = 1e-10
@@ -128,29 +130,21 @@ def sum_oracle_hamiltonians(
 
 @dataclass(frozen=True, eq=False)
 class TrajectorySet:
-    """All N per-oracle trajectories plus the driver-only reference, sampled
-    on a common time grid. ``per_oracle[w, j]`` and ``reference[j]`` are the
-    amplitude rows at grid time j."""
+    """The driver-only reference's amplitude rows ``reference[j]`` on a common
+    time grid, and per oracle w (row w of ``oracle_basis``) only what the bound
+    reads: ``distance[w, j]`` = ||psi_w(t_j) - psi(t_j)||^2 and
+    ``amplitude[w, j]`` = <w|psi_w(t_j)>."""
 
     grid: np.ndarray
     reference: np.ndarray
-    per_oracle: np.ndarray
-    initial: StateVector
+    distance: np.ndarray
+    amplitude: np.ndarray
     oracle_scale: float
     oracle_basis: np.ndarray
 
     def __post_init__(self):
-        for name in ("grid", "reference", "per_oracle", "oracle_basis"):
+        for name in ("grid", "reference", "distance", "amplitude", "oracle_basis"):
             getattr(self, name).setflags(write=False)
-        norms = np.linalg.norm(self.per_oracle, axis=2)
-        ref_norms = np.linalg.norm(self.reference, axis=1)
-        worst = max(float(np.max(np.abs(norms - 1.0))), float(np.max(np.abs(ref_norms - 1.0))))
-        if worst > 1e-9:
-            raise ValueError(f"trajectory norms drifted by {worst!r}")
-        if np.any(self.reference[0] != self.initial.amps) or np.any(
-            self.per_oracle[:, 0, :] != self.initial.amps[None, :]
-        ):
-            raise ValueError("trajectories must start exactly at the initial state")
 
     @property
     def dim(self) -> int:
@@ -158,36 +152,45 @@ class TrajectorySet:
 
     @property
     def num_oracles(self) -> int:
-        return self.per_oracle.shape[0]
+        return self.distance.shape[0]
 
 
 def _propagate_schedule(
-    ham_per_segment: list[np.ndarray], durations: np.ndarray, psi0: np.ndarray, grid: np.ndarray
+    segments: list[tuple[float, np.ndarray]], psi0: np.ndarray, grid: np.ndarray
 ) -> np.ndarray:
-    """Evolve psi0 across the grid under a piecewise-constant Hamiltonian.
+    """Evolve psi0 across the grid under (duration, Hamiltonian) segments.
 
     Each segment is one ``propagate`` call from its entry state, at the
     segment's grid times and then at its end; that last row is the state
-    handed to the next segment.
+    handed to the next segment. Checked: rows keep unit norm to 1e-9.
     """
     out = np.empty((grid.shape[0], psi0.shape[0]), dtype=np.complex128)
     out[0] = psi0
-    seg_ends = np.cumsum(durations)
-    psi = psi0
-    t_entry = 0.0
-    lo = 1
-    for seg_idx, mat in enumerate(ham_per_segment):
-        seg_end = seg_ends[seg_idx]
+    psi, t_entry, lo = psi0, 0.0, 1
+    for seg_idx, (dur, mat) in enumerate(segments):
+        seg_end = t_entry + dur
         # Grid points up to (and including) this segment's end belong here.
         hi = int(np.searchsorted(grid, seg_end, side="right"))
-        if seg_idx == len(ham_per_segment) - 1:
+        if seg_idx == len(segments) - 1:
             hi = grid.shape[0]  # absorb horizon-level roundoff into the last segment
         rel = np.maximum(grid[lo:hi] - t_entry, 0.0)
         rows = propagate(mat, psi, np.append(rel, seg_end - t_entry))
         out[lo:hi] = rows[:-1]
         psi = rows[-1]
         lo, t_entry = hi, seg_end
+    drift = float(np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)))
+    if not drift <= 1e-9:  # also catches nan
+        raise NormalizationError(f"trajectory drifts in norm by {drift!r}")
     return out
+
+
+def oracle_trajectory(
+    e: float, w: np.ndarray, driver: DriverSchedule, psi0: np.ndarray, grid: np.ndarray
+) -> np.ndarray:
+    """Amplitude rows of psi0 evolved under E|w><w| + driver at the grid
+    times: one oracle's full (len(grid), N) block."""
+    proj = e * np.outer(w, w.conj())
+    return _propagate_schedule([(dur, op.mat + proj) for dur, op in driver.segments], psi0, grid)
 
 
 def evolve_trajectories(
@@ -200,8 +203,9 @@ def evolve_trajectories(
     """Evolve the reference and every per-oracle trajectory over the grid.
 
     The reference follows the driver alone; trajectory w follows
-    E|w><w| + driver. The grid must start at 0, increase strictly, and stay
-    within the schedule horizon.
+    E|w><w| + driver and is checked and reduced before the next is made.
+    The grid must start at 0, increase strictly, and stay within the
+    schedule horizon.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.shape[0] < 1 or grid[0] != 0.0:
@@ -220,22 +224,20 @@ def evolve_trajectories(
         raise BasisError(f"need a full oracle basis of shape ({n}, {n}), got {rows.shape}")
     _check_orthonormal(rows)
 
-    durations = np.asarray([dur for dur, _ in driver.segments])
-    driver_mats = [op.mat for _, op in driver.segments]
-    reference = _propagate_schedule(driver_mats, durations, initial.amps, grid)
-
-    per_oracle = np.empty((n, grid.shape[0], n), dtype=np.complex128)
+    reference = _propagate_schedule([(dur, op.mat) for dur, op in driver.segments], initial.amps, grid)
+    distance = np.empty((n, grid.shape[0]))
+    amplitude = np.empty((n, grid.shape[0]), dtype=np.complex128)
     for wi in range(n):
-        w = rows[wi]
-        proj = e * np.outer(w, w.conj())
-        mats = [m + proj for m in driver_mats]
-        per_oracle[wi] = _propagate_schedule(mats, durations, initial.amps, grid)
+        block = oracle_trajectory(e, rows[wi], driver, initial.amps, grid)
+        diff = block - reference
+        distance[wi] = np.einsum("jn,jn->j", diff, diff.conj()).real
+        amplitude[wi] = np.einsum("n,jn->j", rows[wi].conj(), block)
 
     return TrajectorySet(
         grid=grid.copy(),
         reference=reference,
-        per_oracle=per_oracle,
-        initial=initial,
+        distance=distance,
+        amplitude=amplitude,
         oracle_scale=float(e),
         oracle_basis=rows,
     )
@@ -285,9 +287,7 @@ def divergence_profile(traj: TrajectorySet) -> BoundReport:
     tolerance C*dt, where C is the largest second-difference curvature of
     the sampled D.
     """
-    diff = traj.per_oracle - traj.reference[None, :, :]
-    dist = np.einsum("wjn,wjn->wj", diff, diff.conj()).real  # (N, M+1)
-    divergence = dist.sum(axis=0)
+    divergence = traj.distance.sum(axis=0)
     grid = traj.grid
     rate = 2.0 * traj.oracle_scale * math.sqrt(traj.dim)
     bound_line = rate * grid
@@ -295,7 +295,8 @@ def divergence_profile(traj: TrajectorySet) -> BoundReport:
     if grid.shape[0] >= 3:
         deriv = (divergence[2:] - divergence[:-2]) / (grid[2:] - grid[:-2])
         dt = float(np.max(np.diff(grid)))
-        second = np.abs(np.diff(divergence, 2)) / np.diff(grid)[:-1] / np.diff(grid)[1:]
+        with np.errstate(over="ignore"):  # an inf reaches the caller's finiteness check
+            second = np.abs(np.diff(divergence, 2)) / np.diff(grid)[:-1] / np.diff(grid)[1:]
         curvature = float(np.max(second)) if second.size else 0.0
         deriv_ok = bool(np.all(deriv <= rate + curvature * dt + FD_ABS_SLACK))
     else:
@@ -303,11 +304,9 @@ def divergence_profile(traj: TrajectorySet) -> BoundReport:
         curvature = 0.0
         deriv_ok = True
 
-    if traj.num_oracles >= 2:
-        part = np.partition(dist, 1, axis=0)
-        min_d, second_d = part[0], part[1]
-    else:
-        min_d = second_d = dist[0]
+    runner_up = min(1, traj.num_oracles - 1)  # a lone oracle is its own runner-up
+    part = np.partition(traj.distance, runner_up, axis=0)
+    min_d, second_d = part[0], part[runner_up]
 
     return BoundReport(
         grid=grid,
@@ -343,9 +342,7 @@ def discrimination_time(traj: TrajectorySet, epsilon: float) -> BoundReport:
     t_eps2 = _first_crossing(report.grid, report.second_min_distance, epsilon)
     lower = epsilon * math.sqrt(traj.dim) / (2.0 * traj.oracle_scale)
     dt = float(np.max(np.diff(report.grid))) if report.grid.shape[0] > 1 else 0.0
-    satisfied = None
-    if t_eps2 is not None:
-        satisfied = bool(t_eps2 >= lower - dt)
+    satisfied = None if t_eps2 is None else bool(t_eps2 >= lower - dt)
     return replace(
         report,
         epsilon=float(epsilon),
@@ -362,9 +359,7 @@ def per_oracle_rates(traj: TrajectorySet) -> np.ndarray:
     Shape (num_oracles, len(grid)); summing over oracles gives the exact
     dD/dt whose Cauchy-Schwarz estimate is the 2*E*sqrt(N) cap.
     """
-    w_conj_traj = np.einsum("wn,wjn->wj", traj.oracle_basis.conj(), traj.per_oracle)
-    w_conj_ref = traj.oracle_basis.conj() @ traj.reference.T
-    overlap = np.conj(w_conj_traj) * w_conj_ref
+    overlap = np.conj(traj.amplitude) * (traj.oracle_basis.conj() @ traj.reference.T)
     return 2.0 * traj.oracle_scale * overlap.imag
 
 

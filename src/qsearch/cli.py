@@ -51,9 +51,8 @@ GROVER_PASS_TOL = 1e-9
 # stays within the design envelope for direct eigendecomposition.
 MAX_DENSE_DIM = 4096
 
-# analog, grover and stats scale with N; each checks its byte estimate
-# (``_estimated_bytes``) against this share of physical memory first, and a
-# time grid checks its report rows.
+# Each command checks its byte estimate (``_estimated_bytes``) against this
+# share of physical memory first, and a time grid checks its report rows.
 MEMORY_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
 
 # Largest time grid a command builds: 10^4 times the default 1001 points.
@@ -123,9 +122,9 @@ def _check_index(parser: argparse.ArgumentParser, flag: str, value: str, n: int,
 
 
 def _estimated_bytes(command: str, cfg: argparse.Namespace) -> int:
-    """Peak bytes an O(N) command allocates, from peak-RSS slopes measured
-    with numpy 2.4 on CPython 3.11 (0 for bound, which MAX_DENSE_DIM caps).
-    Integer arithmetic, so any --n gives an estimate."""
+    """Peak bytes a command allocates, from peak-RSS slopes measured with
+    numpy 2.4 on CPython 3.11. Integer arithmetic, so any --n gives an
+    estimate; bound's grid is a usage error first if it is too large."""
     if command == "analog":
         # s and w as arrays, as lists of float pairs and as JSON text
         return 1100 * cfg.n
@@ -133,11 +132,15 @@ def _estimated_bytes(command: str, cfg: argparse.Namespace) -> int:
         # three state vectors, then one report row per step; k* < sqrt(N)
         steps = cfg.iterations if cfg.iterations is not None else math.isqrt(cfg.n)
         return 64 * cfg.n + REPORT_ROW_BYTES * (steps + 1)
-    if command == "stats":
-        # one float32 buffer of 4 coordinates per dimension per chunk sample,
-        # then a few float64 arrays of one entry per sample
-        return 16 * cfg.n * min(_CHUNK, cfg.samples) + 24 * cfg.samples
-    return 0
+    if command == "bound":
+        # per segment its matrix twice (the driver's, one oracle's) and 0.6 kB of
+        # objects; per grid point 6.5 rows of N amplitudes while an oracle is reduced
+        segments = cfg.segments if cfg.driver == "piecewise" else 1
+        _, horizon, dt = _bound_times(cfg)
+        return (32 * cfg.n**2 + 600) * segments + 104 * cfg.n * _grid_points(dt, horizon)
+    # stats: one float32 buffer of 4 coordinates per dimension per chunk sample,
+    # then a few float64 arrays of one entry per sample
+    return 16 * cfg.n * min(_CHUNK, cfg.samples) + 24 * cfg.samples
 
 
 def _non_finite_entry(payload: dict) -> str | None:
@@ -190,9 +193,9 @@ def _payload_skeleton(command: str, cfg: argparse.Namespace) -> dict:
     return {"schema": SCHEMA, "version": __version__, "command": command, "config": dict(vars(cfg))}
 
 
-def _time_grid(dt: float, horizon: float) -> np.ndarray:
-    """Uniform grid over [0, horizon]; a usage error when it would need more
-    than MAX_GRID_STEPS steps or its report rows more than MEMORY_BUDGET."""
+def _grid_points(dt: float, horizon: float) -> int:
+    """Points of the uniform grid over [0, horizon] at step dt; a usage error when
+    it would need more than MAX_GRID_STEPS steps or its report rows more than MEMORY_BUDGET."""
     # The defaults derive from --energy and can overflow or underflow to 0.
     steps = horizon / dt if dt > 0.0 else math.inf
     if not steps <= MAX_GRID_STEPS:  # also rejects inf and nan
@@ -202,7 +205,13 @@ def _time_grid(dt: float, horizon: float) -> np.ndarray:
         )
     points = max(1, int(round(steps))) + 1
     _check_budget(points * REPORT_ROW_BYTES, f"the time grid (from --energy/--horizon/--dt) of {points} points")
-    return np.linspace(0.0, horizon, points)
+    return points
+
+
+def _bound_times(cfg: argparse.Namespace) -> tuple[float, float, float]:
+    """bound's t_m equivalent, and its horizon and step defaulted from it."""
+    t_m_equiv = math.pi * math.sqrt(cfg.n) / (2.0 * cfg.energy)
+    return t_m_equiv, cfg.horizon or 2.0 * t_m_equiv, cfg.dt or t_m_equiv / 500.0
 
 
 def cmd_analog(cfg: argparse.Namespace) -> tuple[int, dict]:
@@ -222,7 +231,7 @@ def cmd_analog(cfg: argparse.Namespace) -> tuple[int, dict]:
     t_m = measurement_time(system)
     dt = cfg.dt if cfg.dt is not None else t_m / 500.0
     horizon = cfg.horizon if cfg.horizon is not None else 2.0 * t_m
-    grid = _time_grid(dt, horizon)
+    grid = np.linspace(0.0, horizon, _grid_points(dt, horizon))
 
     p_full = full_space_probability(e, s, w, grid)
     p_closed = np.array([success_probability(system, t) for t in grid])
@@ -294,14 +303,12 @@ def cmd_grover(cfg: argparse.Namespace) -> tuple[int, dict]:
 
 def cmd_bound(cfg: argparse.Namespace) -> tuple[int, dict]:
     n, e = cfg.n, cfg.energy
-    if not math.isfinite(e * cfg.driver_norm_mult):
-        raise UsageError(
-            f"the driver norm --energy * --driver-norm-mult = {e:g} * {cfg.driver_norm_mult:g} overflows"
-        )
-    t_m_equiv = math.pi * math.sqrt(n) / (2.0 * e)
-    horizon = cfg.horizon if cfg.horizon is not None else 2.0 * t_m_equiv
-    dt = cfg.dt if cfg.dt is not None else t_m_equiv / 500.0
-    grid = _time_grid(dt, horizon)
+    t_m_equiv, horizon, dt = _bound_times(cfg)
+    # No eigenvalue exceeds E * (mult + 1): past a double, a phase is inf and a state nan.
+    if not math.isfinite(e * (cfg.driver_norm_mult + 1.0) * horizon):
+        raise UsageError(f"the largest phase --energy * (--driver-norm-mult + 1) * horizon = "
+                         f"{e:g} * ({cfg.driver_norm_mult:g} + 1) * {horizon:g} overflows")
+    grid = np.linspace(0.0, horizon, _grid_points(dt, horizon))
 
     rng = np.random.default_rng(cfg.seed)
     driver = build_driver(cfg.driver, n, e, cfg.driver_norm_mult, horizon, rng, cfg.segments)

@@ -137,9 +137,6 @@ class HermitianOperator:
             raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return HermitianOperator(self.mat + other.mat)
 
-    def scaled(self, c: float) -> "HermitianOperator":
-        return HermitianOperator(self.mat * float(c))
-
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.dim})"
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from qsearch import (
     sum_oracle_hamiltonians,
 )
 
-from qsearch.bound import build_driver
+from qsearch.bound import build_driver, oracle_trajectory
 
 from conftest import haar_state, random_hermitian
 
@@ -71,25 +72,27 @@ class TestEvolveTrajectories:
         n, e = 5, 1.3
         initial = StateVector.basis_state(n, 2)
         grid = uniform_grid(4.0, 60)
-        traj = evolve_trajectories(e, standard_basis(n), DriverSchedule.zero(n, 4.0), initial, grid)
+        driver = DriverSchedule.zero(n, 4.0)
+        states = [oracle_trajectory(e, w.amps, driver, initial.amps, grid) for w in standard_basis(n)]
         expected = np.exp(-1j * e * grid)[:, None] * initial.amps[None, :]
-        assert np.max(np.abs(traj.per_oracle[2] - expected)) < 1e-12
+        assert np.max(np.abs(states[2] - expected)) < 1e-12
         for w in (0, 1, 3, 4):
-            assert np.max(np.abs(traj.per_oracle[w] - initial.amps[None, :])) < 1e-12
+            assert np.max(np.abs(states[w] - initial.amps[None, :])) < 1e-12
 
     def test_paper_driver_matches_closed_form(self):
         n, e = 4, 1.0
         s = StateVector.uniform(n)
         grid = uniform_grid(8.0, 80)
-        traj = evolve_trajectories(e, standard_basis(n), paper_driver(n, e, 8.0), s, grid)
+        driver = paper_driver(n, e, 8.0)
         for w in range(n):
             wvec = StateVector.basis_state(n, w)
+            states = oracle_trajectory(e, wvec.amps, driver, s.amps, grid)
             x, r = reduced_basis(s, wvec)
             sys2 = TwoLevelSystem(energy=e, overlap=x)
             for j, t in enumerate(grid):
                 st = evolve_closed_form(sys2, float(t))
                 embedded = st.amp_w * wvec.amps + st.amp_r * r.amps
-                assert np.max(np.abs(traj.per_oracle[w, j] - embedded)) < 1e-8
+                assert np.max(np.abs(states[j] - embedded)) < 1e-8
 
     def test_reference_under_rank_one_driver_is_pure_phase(self):
         n, e = 6, 2.0
@@ -107,14 +110,12 @@ class TestEvolveTrajectories:
         sched = DriverSchedule.piecewise([a, b], [1.0, 1.0])
         grid = uniform_grid(2.0, 40)
         s = StateVector.uniform(n)
-        traj = evolve_trajectories(e, standard_basis(n), sched, s, grid)
+        w = StateVector.basis_state(n, 1).amps
+        states = oracle_trajectory(e, w, sched, s.amps, grid)
 
-        first = evolve_trajectories(e, standard_basis(n), DriverSchedule.constant(a, 1.0), s, uniform_grid(1.0, 20))
-        handoff = StateVector._wrap(first.per_oracle[1, -1])
-        second = evolve_trajectories(
-            e, standard_basis(n), DriverSchedule.constant(b, 1.0), handoff, uniform_grid(1.0, 20)
-        )
-        assert np.max(np.abs(traj.per_oracle[1, 20:] - second.per_oracle[1])) < 1e-10
+        first = oracle_trajectory(e, w, DriverSchedule.constant(a, 1.0), s.amps, uniform_grid(1.0, 20))
+        second = oracle_trajectory(e, w, DriverSchedule.constant(b, 1.0), first[-1], uniform_grid(1.0, 20))
+        assert np.max(np.abs(states[20:] - second)) < 1e-10
 
     def test_grid_beyond_horizon_is_rejected(self):
         n = 3
@@ -135,9 +136,24 @@ class TestEvolveTrajectories:
     def test_initial_grid_point_is_bit_exact(self):
         n = 4
         s = StateVector.uniform(n)
-        traj = evolve_trajectories(1.0, standard_basis(n), DriverSchedule.zero(n, 1.0), s, uniform_grid(1.0, 5))
+        driver, grid = DriverSchedule.zero(n, 1.0), uniform_grid(1.0, 5)
+        traj = evolve_trajectories(1.0, standard_basis(n), driver, s, grid)
         assert np.array_equal(traj.reference[0], s.amps)
-        assert np.array_equal(traj.per_oracle[:, 0, :], np.broadcast_to(s.amps, (n, n)))
+        starts = [oracle_trajectory(1.0, w.amps, driver, s.amps, grid)[0] for w in standard_basis(n)]
+        assert np.array_equal(np.array(starts), np.broadcast_to(s.amps, (n, n)))
+
+    def test_peak_memory_stays_below_a_quarter_of_the_full_states(self):
+        # N full (M, N) blocks would take 16 N^2 M bytes (62.5 MiB here)
+        n, m = 64, 1001
+        driver = build_driver("random-dense", n, 1.0, 1.0, 10.0, np.random.default_rng(0))
+        basis, s, grid = standard_basis(n), StateVector.uniform(n), np.linspace(0.0, 10.0, m)
+        tracemalloc.start()
+        try:
+            evolve_trajectories(1.0, basis, driver, s, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * n * m / 4
 
 
 class TestDivergenceProfile:

@@ -199,8 +199,11 @@ def test_every_command_is_deterministic(tmp_path):
         "analog --n 1000000000000",
         "grover --n 1000000000000",
         "stats --n 1000000000000 --samples 100",
+        "bound --n 4096 --driver piecewise --segments 100000",
         # an overflowing driver norm, and a derived value beyond double range
         "bound --n 8 --energy 10 --driver-norm-mult 1e308",
+        "bound --n 8 --driver-norm-mult 1e308",
+        "bound --n 8 --driver random-dense --driver-norm-mult 1e308",
         "bound --n 8 --energy 1e300",
     ],
     ids=lambda argv: argv.replace(" ", "_"),

@@ -212,7 +212,7 @@ def evolve_trajectories(
         raise ValueError("grid must be a 1-d array starting at 0")
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid times must increase strictly")
-    if grid[-1] > driver.horizon + 1e-9:
+    if grid[-1] > driver.horizon + 1e-9 * max(1.0, driver.horizon):  # the summed durations round
         raise ScheduleError(
             f"grid reaches {grid[-1]!r} beyond the schedule horizon {driver.horizon!r}"
         )
@@ -295,8 +295,7 @@ def divergence_profile(traj: TrajectorySet) -> BoundReport:
     if grid.shape[0] >= 3:
         deriv = (divergence[2:] - divergence[:-2]) / (grid[2:] - grid[:-2])
         dt = float(np.max(np.diff(grid)))
-        with np.errstate(over="ignore"):  # an inf reaches the caller's finiteness check
-            second = np.abs(np.diff(divergence, 2)) / np.diff(grid)[:-1] / np.diff(grid)[1:]
+        second = np.abs(np.diff(divergence, 2)) / np.diff(grid)[:-1] / np.diff(grid)[1:]
         curvature = float(np.max(second)) if second.size else 0.0
         deriv_ok = bool(np.all(deriv <= rate + curvature * dt + FD_ABS_SLACK))
     else:

@@ -4,9 +4,10 @@ Four subcommands (``analog``, ``grover``, ``bound``, ``stats``) run the four
 experiment families and emit a self-describing report (JSON schema "v1" or
 CSV with comment headers) embedding the config, seed, tool version and all
 derived constants, so downstream plotting needs no side channel. Exit codes:
-0 pass, 1 numerical-check failure, 2 usage error. Every command is
-deterministic given its full flag set, and reruns at a fixed BLAS thread
-count produce byte-identical files.
+0 pass, 1 numerical-check failure, 2 usage error (a flag out of range, a
+library refusal of the flags, or arithmetic beyond the range of a double).
+Every command is deterministic given its full flag set, and reruns at a
+fixed BLAS thread count produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -64,15 +65,10 @@ MAX_GRID_STEPS = 10**7
 REPORT_ROW_BYTES = 1200
 
 
-class UsageError(Exception):
-    """Flags that parse one by one but together ask for something unbuildable;
-    ``main`` reports it as a usage error (exit 2)."""
-
-
 def _check_budget(nbytes: int, what: str) -> None:
     """A usage error when ``what`` needs more than MEMORY_BUDGET bytes."""
     if nbytes > MEMORY_BUDGET:
-        raise UsageError(  # MiB by integer shift: an --n of any size can be printed
+        raise ValueError(  # MiB by integer shift: an --n of any size can be printed
             f"{what} needs about {nbytes >> 20} MiB, more than the "
             f"{MEMORY_BUDGET >> 20} MiB budget (half of physical memory)"
         )
@@ -199,7 +195,7 @@ def _grid_points(dt: float, horizon: float) -> int:
     # The defaults derive from --energy and can overflow or underflow to 0.
     steps = horizon / dt if dt > 0.0 else math.inf
     if not steps <= MAX_GRID_STEPS:  # also rejects inf and nan
-        raise UsageError(
+        raise ValueError(
             f"the time grid (from --energy/--horizon/--dt) needs {steps:g} steps, "
             f"more than {MAX_GRID_STEPS}"
         )
@@ -306,7 +302,7 @@ def cmd_bound(cfg: argparse.Namespace) -> tuple[int, dict]:
     t_m_equiv, horizon, dt = _bound_times(cfg)
     # No eigenvalue exceeds E * (mult + 1): past a double, a phase is inf and a state nan.
     if not math.isfinite(e * (cfg.driver_norm_mult + 1.0) * horizon):
-        raise UsageError(f"the largest phase --energy * (--driver-norm-mult + 1) * horizon = "
+        raise ValueError(f"the largest phase --energy * (--driver-norm-mult + 1) * horizon = "
                          f"{e:g} * ({cfg.driver_norm_mult:g} + 1) * {horizon:g} overflows")
     grid = np.linspace(0.0, horizon, _grid_points(dt, horizon))
 
@@ -443,17 +439,19 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "grover":
         _check_index(parser, "--marked", args.marked, args.n, ("random",))
     cfg = argparse.Namespace(**{name: getattr(args, name) for name in fields})
+    beyond = "the flags ask for numbers beyond the range of a double"
     try:
-        _check_budget(_estimated_bytes(args.command, cfg), "this run")
-        code, payload = runner(cfg)
-    except UsageError as exc:
-        parser.error(str(exc))  # exits with code 2
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            _check_budget(_estimated_bytes(args.command, cfg), "this run")
+            code, payload = runner(cfg)
     except QSearchError as exc:
         print(f"qsearch {args.command}: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, ArithmeticError) as exc:
+        parser.error(str(exc) if isinstance(exc, ValueError) else f"{beyond} ({exc})")
     bad = _non_finite_entry(payload)
-    if bad is not None:
-        parser.error(f"the report's {bad} is not finite: the flags ask for numbers beyond the range of a double")
+    if bad is not None:  # Python floats overflow to inf without raising
+        parser.error(f"the report's {bad} is not finite: {beyond}")
     _write_report(payload, args.out, args.fmt)
     if code != 0:
         checks = payload.get("summary", {})

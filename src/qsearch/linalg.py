@@ -41,7 +41,7 @@ class StateVector:
         if arr.ndim != 1 or arr.size < 1:
             raise DimensionError(f"state vector must be 1-d and non-empty, got shape {arr.shape}")
         nrm = np.linalg.norm(arr)
-        if abs(nrm - 1.0) > NORM_REPAIR_TOL:
+        if not abs(nrm - 1.0) <= NORM_REPAIR_TOL:  # also rejects nan
             raise NormalizationError(f"norm {nrm!r} too far from 1 to normalize")
         if abs(nrm - 1.0) > 1e-12:
             arr = arr / nrm
@@ -58,7 +58,7 @@ class StateVector:
         """
         arr = np.asarray(arr, dtype=np.complex128)
         nrm = np.linalg.norm(arr)
-        if abs(nrm - 1.0) > NORM_REPAIR_TOL:
+        if not abs(nrm - 1.0) <= NORM_REPAIR_TOL:
             raise NormalizationError(f"propagation produced norm {nrm!r}")
         arr.setflags(write=False)
         obj = object.__new__(cls)
@@ -115,7 +115,7 @@ class HermitianOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise DimensionError(f"operator must be square, got shape {m.shape}")
         scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-        if float(np.max(np.abs(m - m.conj().T))) > HERMITICITY_TOL * scale:
+        if not float(np.max(np.abs(m - m.conj().T))) <= HERMITICITY_TOL * scale:  # also nan, inf
             raise ValueError("matrix is not Hermitian within tolerance")
         upper = np.triu(m, 1)
         exact = upper + upper.conj().T + np.diag(m.diagonal().real)

@@ -47,11 +47,9 @@ def random_state(n: int, rng: np.random.Generator) -> StateVector:
     """State drawn uniformly from the unit sphere in complex dimension n."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    while True:
-        z = rng.standard_normal((2, n))
-        v = z[0] + 1j * z[1]
-        if np.linalg.norm(v) > 0.0:  # excluded with probability ~0
-            return StateVector(v / np.linalg.norm(v))
+    z = rng.standard_normal((2, n))
+    v = z[0] + 1j * z[1]
+    return StateVector(v / np.linalg.norm(v))
 
 
 def _sample_x2(n: int, m: int, rng: np.random.Generator) -> np.ndarray:

@@ -125,6 +125,15 @@ class TestEvolveTrajectories:
                 StateVector.uniform(n), uniform_grid(2.0, 10),
             )
 
+    def test_grid_end_within_rounding_of_a_long_horizon_is_accepted(self):
+        # ten durations h / 10 sum to 1.5e-8 below h, more than an absolute 1e-9 slack
+        n, h = 2, 125663706.14359173
+        driver = DriverSchedule.piecewise([HermitianOperator.zero(n)] * 10, [h / 10] * 10)
+        assert h - driver.horizon == pytest.approx(1.5e-8, rel=0.01)
+        grid = np.linspace(0.0, h, 101)
+        traj = evolve_trajectories(1.0, standard_basis(n), driver, StateVector.uniform(n), grid)
+        assert traj.grid[-1] == h
+
     def test_grid_must_start_at_zero_and_increase(self):
         n = 3
         sched = DriverSchedule.zero(n, 5.0)

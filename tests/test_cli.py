@@ -1,13 +1,18 @@
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsearch.cli as cli
 from qsearch.cli import main
@@ -111,6 +116,12 @@ class TestBoundCommand:
         assert rep["summary"]["bound_satisfied"]
         assert rep["summary"]["derivative_bound_satisfied"]
 
+    def test_piecewise_driver_at_a_long_horizon(self, tmp_path):
+        # E = 1e-7 sets a horizon near 1.3e8, where the summed segment durations round
+        code, rep = run_cli(["bound", "--n", "16", "--driver", "piecewise", "--energy", "1e-7"], tmp_path)
+        assert code == 0
+        assert rep["summary"]["bound_satisfied"]
+
 
 class TestStatsCommand:
     def test_pass_band(self, tmp_path):
@@ -205,6 +216,11 @@ def test_every_command_is_deterministic(tmp_path):
         "bound --n 8 --driver-norm-mult 1e308",
         "bound --n 8 --driver random-dense --driver-norm-mult 1e308",
         "bound --n 8 --energy 1e300",
+        # a library refusal, and Python or numpy arithmetic beyond a double's range
+        "analog --n 16 --energy 5e-324 --horizon 1e-10",
+        "analog --n 8 --energy 1.7e308 --dt 0.001 --horizon 100 --w random",
+        "bound --n 4 --driver piecewise --segments 1000 --horizon 1e-321",
+        "bound --n 2 --horizon 1e-320 --driver random-dense --driver-norm-mult 1.7e308",
     ],
     ids=lambda argv: argv.replace(" ", "_"),
 )
@@ -215,6 +231,57 @@ def test_usage_errors_exit_2_with_one_error_line(argv, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+
+
+FUZZ_FLOATS = st.sampled_from(
+    ["5e-324", "1e-320", "1e-300", "1e-10", "1e-3", "0.5", "1", "3", "1e300", "1e308", "1.7e308"]
+)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["analog", "grover", "bound", "stats"]))
+    argv = [command, "--n", str(draw(st.integers(1, 16))), "--seed", str(draw(st.integers(0, 3)))]
+
+    def maybe(flag, values):
+        if draw(st.booleans()):
+            argv.extend([flag, str(draw(values))])
+
+    if command in ("analog", "bound"):
+        for flag in ("--energy", "--dt", "--horizon"):
+            maybe(flag, FUZZ_FLOATS)
+    if command == "analog":
+        maybe("--w", st.sampled_from(["random", "s", "0", "3"]))
+    elif command == "grover":
+        maybe("--marked", st.sampled_from(["random", "0", "5"]))
+        maybe("--iterations", st.integers(0, 20))
+    elif command == "bound":
+        maybe("--driver", st.sampled_from(["paper", "zero", "random-dense", "piecewise"]))
+        maybe("--driver-norm-mult", FUZZ_FLOATS)
+        maybe("--epsilon", FUZZ_FLOATS)
+        maybe("--segments", st.integers(1, 20))
+    else:
+        maybe("--samples", st.sampled_from([100, 1000]))
+    return argv
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(argvs())
+def test_every_argv_runs_or_exits_with_one_line(argv):
+    err = io.StringIO()
+    # patched here, not by a fixture: hypothesis refuses function-scoped fixtures
+    with mock.patch.object(cli, "MEMORY_BUDGET", 16 << 20), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv + ["--out", os.devnull])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert not any("Traceback" in line for line in lines)
+    if code == 2:
+        assert [line for line in lines if "error:" in line] == [lines[-1]]
+    elif code == 1:
+        assert lines[-1].startswith(f"qsearch {argv[0]}:")
 
 
 @pytest.mark.parametrize("command", ["analog", "bound"])

@@ -30,6 +30,14 @@ class TestStateVector:
         with pytest.raises(NormalizationError):
             StateVector(np.array([0.5, 0.5]))
 
+    def test_rejects_nan(self):
+        # nan fails every comparison, so the norm check must not be a "> tol" test
+        arr = np.array([np.nan, 0.0])
+        with pytest.raises(NormalizationError):
+            StateVector(arr)
+        with pytest.raises(NormalizationError):
+            StateVector._wrap(arr)
+
     def test_rejects_non_vector_input(self):
         with pytest.raises(DimensionError):
             StateVector(np.zeros((2, 2)))
@@ -85,6 +93,12 @@ class TestHermitianOperator:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, entry):
+        # the check sees inf - inf as nan; silence numpy's invalid-value warning on the way
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            HermitianOperator(np.array([[entry, 0.0], [0.0, 1.0]]))
 
     def test_rank_one_matrix(self):
         w = StateVector.basis_state(3, 0)

@@ -150,7 +150,7 @@ def full_space_probability(energy: float, s: StateVector, w: StateVector, times)
         raise DimensionError(f"dimension mismatch: {s.dim} vs {w.dim}")
     g = inner_product(w, s)
     gram = np.array([[1.0, g], [g.conjugate(), 1.0]])
-    coeffs = propagate(energy * (gram - np.eye(2)), np.array([0.0, 1.0]), times)
+    coeffs = propagate(*np.linalg.eigh(energy * (gram - np.eye(2))), np.array([0.0, 1.0]), times)
     return np.abs(coeffs[:, 0] + g * coeffs[:, 1]) ** 2
 
 

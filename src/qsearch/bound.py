@@ -12,7 +12,10 @@ at a given threshold.
 
 Drivers are piecewise-constant schedules; each segment is propagated exactly
 (up to eigendecomposition error) in its own eigenbasis, so no ODE-stepping
-error pollutes the bound checks. A smooth driver can be approximated by
+error pollutes the bound checks. A segment's driver is eigendecomposed once
+(O(N^3)); every oracle term is rank one, so each oracle's eigensystem is a
+rank-one update of the driver's (O(N^2)), and its trajectory costs O(N^2)
+per grid point. A smooth driver can be approximated by
 refining segments; convergence of that approximation is the caller's
 responsibility. The per-oracle trajectories are independent and could run in
 parallel; they are reduced in a fixed order so results never depend on
@@ -28,9 +31,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BasisError, DimensionError, NormalizationError, ScheduleError
-from .linalg import HermitianOperator, RankOneHamiltonian, StateVector, propagate
+from .linalg import HermitianOperator, RankOneHamiltonian, StateVector, propagate, rank_one_eigh
 
 ORTHONORMAL_TOL = 1e-10
+
+# Oracles whose eigensystems ``rank_one_eigh`` finds together: the batch's
+# N x N arrays hold about this many entries (512 KiB of float64).
+ORACLE_BATCH_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -155,32 +162,45 @@ class TrajectorySet:
         return self.distance.shape[0]
 
 
-def _propagate_schedule(
-    segments: list[tuple[float, np.ndarray]], psi0: np.ndarray, grid: np.ndarray
-) -> np.ndarray:
-    """Evolve psi0 across the grid under (duration, Hamiltonian) segments.
-
-    Each segment is one ``propagate`` call from its entry state, at the
-    segment's grid times and then at its end; that last row is the state
-    handed to the next segment. Checked: rows keep unit norm to 1e-9.
-    """
-    out = np.empty((grid.shape[0], psi0.shape[0]), dtype=np.complex128)
-    out[0] = psi0
-    psi, t_entry, lo = psi0, 0.0, 1
-    for seg_idx, (dur, mat) in enumerate(segments):
+def _segment_times(durations: Sequence[float], grid: np.ndarray):
+    """Per segment, the slice [lo, hi) of grid points it owns and the times,
+    from its entry, to propagate to: those points, then the segment's end,
+    whose state is handed to the next segment. Point 0 is the initial state."""
+    t_entry, lo = 0.0, 1
+    for seg_idx, dur in enumerate(durations):
         seg_end = t_entry + dur
         # Grid points up to (and including) this segment's end belong here.
         hi = int(np.searchsorted(grid, seg_end, side="right"))
-        if seg_idx == len(segments) - 1:
+        if seg_idx == len(durations) - 1:
             hi = grid.shape[0]  # absorb horizon-level roundoff into the last segment
         rel = np.maximum(grid[lo:hi] - t_entry, 0.0)
-        rows = propagate(mat, psi, np.append(rel, seg_end - t_entry))
-        out[lo:hi] = rows[:-1]
-        psi = rows[-1]
+        yield lo, hi, np.append(rel, seg_end - t_entry)
         lo, t_entry = hi, seg_end
-    drift = float(np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)))
+
+
+def _check_norms(cols: np.ndarray) -> None:
+    """Each column of ``cols`` (states side by side) has unit norm to 1e-9."""
+    flat = cols.view(np.float64)  # real and imaginary parts side by side
+    norms = np.sqrt(np.einsum("ij,ij->j", flat, flat).reshape(-1, 2).sum(axis=1))
+    drift = float(np.max(np.abs(norms - 1.0)))
     if not drift <= 1e-9:  # also catches nan
         raise NormalizationError(f"trajectory drifts in norm by {drift!r}")
+
+
+def _propagate_schedule(
+    segments: list[tuple[float, np.ndarray, np.ndarray]], psi0: np.ndarray, grid: np.ndarray
+) -> np.ndarray:
+    """Evolve psi0 across the grid under (duration, eigenvalues, eigenvectors)
+    segments: one ``propagate`` call per segment from its entry state.
+    Checked: rows keep unit norm to 1e-9."""
+    out = np.empty((grid.shape[0], psi0.shape[0]), dtype=np.complex128)
+    out[0] = psi0
+    psi = psi0
+    for (lo, hi, times), (_, evals, vecs) in zip(_segment_times([s[0] for s in segments], grid), segments):
+        rows = propagate(evals, vecs, psi, times)
+        out[lo:hi] = rows[:-1]
+        psi = rows[-1]
+    _check_norms(np.ascontiguousarray(out.T))
     return out
 
 
@@ -188,9 +208,12 @@ def oracle_trajectory(
     e: float, w: np.ndarray, driver: DriverSchedule, psi0: np.ndarray, grid: np.ndarray
 ) -> np.ndarray:
     """Amplitude rows of psi0 evolved under E|w><w| + driver at the grid
-    times: one oracle's full (len(grid), N) block."""
+    times: one oracle's full (len(grid), N) block, from a dense ``eigh`` of
+    each segment's matrix. The small-N reference for ``evolve_trajectories``."""
     proj = e * np.outer(w, w.conj())
-    return _propagate_schedule([(dur, op.mat + proj) for dur, op in driver.segments], psi0, grid)
+    return _propagate_schedule(
+        [(dur, *np.linalg.eigh(op.mat + proj)) for dur, op in driver.segments], psi0, grid
+    )
 
 
 def evolve_trajectories(
@@ -203,9 +226,18 @@ def evolve_trajectories(
     """Evolve the reference and every per-oracle trajectory over the grid.
 
     The reference follows the driver alone; trajectory w follows
-    E|w><w| + driver and is checked and reduced before the next is made.
-    The grid must start at 0, increase strictly, and stay within the
-    schedule horizon.
+    E|w><w| + driver. The grid must start at 0, increase strictly, and stay
+    within the schedule horizon.
+
+    Each segment's driver is eigendecomposed once, H_D = V diag(lam) V^dagger
+    (one ``eigh`` per segment), and the oracles are worked in its eigenbasis:
+    with u = V^dagger w, E|w><w| + H_D = V (diag(lam) + E u u^dagger) V^dagger,
+    and ``rank_one_eigh`` gives the eigensystem of the middle factor in
+    O(N^2). Each oracle's segment is then one ``propagate`` call from
+    V^dagger psi_w (O(N^2 M) for M grid points), checked for norm drift and
+    reduced at once to its distance to the reference and its amplitude
+    u^dagger (V^dagger psi_w) = <w|psi_w>; only its state at the segment end
+    is kept, mapped back by V.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.shape[0] < 1 or grid[0] != 0.0:
@@ -224,14 +256,39 @@ def evolve_trajectories(
         raise BasisError(f"need a full oracle basis of shape ({n}, {n}), got {rows.shape}")
     _check_orthonormal(rows)
 
-    reference = _propagate_schedule([(dur, op.mat) for dur, op in driver.segments], initial.amps, grid)
-    distance = np.empty((n, grid.shape[0]))
-    amplitude = np.empty((n, grid.shape[0]), dtype=np.complex128)
-    for wi in range(n):
-        block = oracle_trajectory(e, rows[wi], driver, initial.amps, grid)
-        diff = block - reference
-        distance[wi] = np.einsum("jn,jn->j", diff, diff.conj()).real
-        amplitude[wi] = np.einsum("n,jn->j", rows[wi].conj(), block)
+    m = grid.shape[0]
+    reference = np.empty((m, n), dtype=np.complex128)
+    reference[0] = initial.amps
+    distance = np.zeros((n, m))
+    amplitude = np.empty((n, m), dtype=np.complex128)
+    amplitude[:, 0] = rows.conj() @ initial.amps
+    psi_ref = initial.amps
+    states = np.repeat(initial.amps[None, :], n, axis=0)  # row w: trajectory w at the segment entry
+    batch = max(1, ORACLE_BATCH_ELEMENTS // (n * n))
+    durations = [dur for dur, _ in driver.segments]
+    for (lo, hi, times), (_, op) in zip(_segment_times(durations, grid), driver.segments):
+        evals, vecs = np.linalg.eigh(op.mat)
+        ref = propagate(evals, vecs, psi_ref, times).T
+        _check_norms(ref)
+        reference[lo:hi] = ref[:, :-1].T
+        psi_ref = ref[:, -1].copy()
+        # From here on, the driver's eigenbasis: the reference's states (columns),
+        # and the oracles u = V^dagger w and entry states V^dagger psi_w (rows).
+        ref = vecs.conj().T @ ref
+        u = rows @ vecs.conj()
+        entry = states @ vecs.conj()
+        cols = np.empty_like(ref)  # each oracle's states, one buffer for all
+        for start in range(0, n, batch):
+            ws = range(start, min(n, start + batch))
+            mu, q = rank_one_eigh(evals, u[start:ws.stop], e)
+            for wi, mu_w, q_w in zip(ws, mu, q):
+                propagate(mu_w, q_w, entry[wi], times, out=cols)
+                _check_norms(cols)
+                states[wi] = vecs @ cols[:, -1]
+                amplitude[wi, lo:hi] = u[wi].conj() @ cols[:, :-1]
+                cols -= ref  # now the differences from the reference
+                diff = cols[:, :-1].view(np.float64)
+                distance[wi, lo:hi] = np.einsum("ij,ij->j", diff, diff).reshape(-1, 2).sum(axis=1)
 
     return TrajectorySet(
         grid=grid.copy(),

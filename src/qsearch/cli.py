@@ -31,7 +31,7 @@ from .analog import (
 )
 # Unused here; kept importable because the benchmark's tracer wraps it by name.
 from .analog import assemble_search_hamiltonian  # noqa: F401
-from .bound import build_driver, discrimination_time, evolve_trajectories
+from .bound import ORACLE_BATCH_ELEMENTS, build_driver, discrimination_time, evolve_trajectories
 from .errors import QSearchError
 from .grover import (
     GroverInstance,
@@ -48,8 +48,9 @@ SCHEMA = "v1"
 ANALOG_PASS_TOL = 1e-8
 GROVER_PASS_TOL = 1e-9
 
-# bound builds and eigendecomposes N x N matrices, one per oracle, so its N
-# stays within the design envelope for direct eigendecomposition.
+# bound builds an N x N matrix per driver segment and eigendecomposes each once
+# (O(N^3)); each oracle then costs O(N^2) per grid point, O(N^3 M) in all, so
+# its N stays within the design envelope for direct eigendecomposition.
 MAX_DENSE_DIM = 4096
 
 # Each command checks its byte estimate (``_estimated_bytes``) against this
@@ -129,11 +130,15 @@ def _estimated_bytes(command: str, cfg: argparse.Namespace) -> int:
         steps = cfg.iterations if cfg.iterations is not None else math.isqrt(cfg.n)
         return 64 * cfg.n + REPORT_ROW_BYTES * (steps + 1)
     if command == "bound":
-        # per segment its matrix twice (the driver's, one oracle's) and 0.6 kB of
-        # objects; per grid point 6.5 rows of N amplitudes while an oracle is reduced
+        # per segment its N x N operator and 0.6 kB of objects; 200 bytes per N x N
+        # entry for building an operator, the driver's eigensystem, the oracle basis
+        # and the hand-off states; one batch of rank-one updates; per grid point
+        # 7 rows of N amplitudes while an oracle is reduced, and its report row
         segments = cfg.segments if cfg.driver == "piecewise" else 1
         _, horizon, dt = _bound_times(cfg)
-        return (32 * cfg.n**2 + 600) * segments + 104 * cfg.n * _grid_points(dt, horizon)
+        return ((24 * cfg.n**2 + 600) * segments + 200 * cfg.n**2
+                + 128 * min(cfg.n**3, ORACLE_BATCH_ELEMENTS)
+                + (112 * cfg.n + REPORT_ROW_BYTES) * _grid_points(dt, horizon))
     # stats: one float32 buffer of 4 coordinates per dimension per chunk sample,
     # then a few float64 arrays of one entry per sample
     return 16 * cfg.n * min(_CHUNK, cfg.samples) + 24 * cfg.samples
@@ -227,6 +232,11 @@ def cmd_analog(cfg: argparse.Namespace) -> tuple[int, dict]:
     t_m = measurement_time(system)
     dt = cfg.dt if cfg.dt is not None else t_m / 500.0
     horizon = cfg.horizon if cfg.horizon is not None else 2.0 * t_m
+    # The eigenvalues are E (1 -+ x); the last bit of a phase, 2^-52 of it, must resolve the tolerance.
+    if not e * (1.0 + system.overlap) * horizon * 2.0**-52 <= ANALOG_PASS_TOL:
+        raise ValueError(f"the largest phase --energy * (1 + x) * horizon = {e:g} * {1.0 + system.overlap:g} "
+                         f"* {horizon:g} is beyond double precision: its last bit exceeds the pass "
+                         f"tolerance {ANALOG_PASS_TOL:g}")
     grid = np.linspace(0.0, horizon, _grid_points(dt, horizon))
 
     p_full = full_space_probability(e, s, w, grid)

@@ -257,7 +257,7 @@ def test_in_plane_probability_matches_dense_propagation(energy, periods):
             x = min(abs(np.vdot(s.amps, w.amps)), 1.0)
             times = np.linspace(0.0, periods * math.pi / (energy * x), 301)
             h = assemble_search_hamiltonian(RankOneHamiltonian(energy, w), RankOneHamiltonian(energy, s))
-            states = propagate(h.mat, absorb_phase(s, w).amps, times)
+            states = propagate(*np.linalg.eigh(h.mat), absorb_phase(s, w).amps, times)
             dense = np.abs(states @ w.amps.conj()) ** 2
             p_full = full_space_probability(energy, s, w, times)
             assert np.max(np.abs(p_full - dense)) <= 1e-12

@@ -22,7 +22,7 @@ from qsearch import (
     sum_oracle_hamiltonians,
 )
 
-from qsearch.bound import build_driver, oracle_trajectory
+from qsearch.bound import _propagate_schedule, build_driver, oracle_trajectory
 
 from conftest import haar_state, random_hermitian
 
@@ -163,6 +163,43 @@ class TestEvolveTrajectories:
         finally:
             tracemalloc.stop()
         assert peak < 16 * n * n * m / 4
+
+
+class TestRankOneUpdatePath:
+    """evolve_trajectories finds each oracle's eigensystem as a rank-one update
+    of the driver's; oracle_trajectory is the dense per-oracle reference."""
+
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    @pytest.mark.parametrize("family", ["paper", "zero", "random-dense", "piecewise"])
+    def test_matches_dense_per_oracle_eigh(self, family, n):
+        e, horizon = 1.0, math.pi * math.sqrt(n)
+        driver = build_driver(family, n, e, 1.0, horizon, np.random.default_rng(n), segments=10)
+        s, grid = StateVector.uniform(n), uniform_grid(horizon, 200)
+        traj = evolve_trajectories(e, standard_basis(n), driver, s, grid)
+        reference = _propagate_schedule(
+            [(dur, *np.linalg.eigh(op.mat)) for dur, op in driver.segments], s.amps, grid
+        )
+        assert np.max(np.abs(traj.reference - reference)) <= 1e-12
+        for w in range(n):
+            block = oracle_trajectory(e, traj.oracle_basis[w], driver, s.amps, grid)
+            distance = np.sum(np.abs(block - reference) ** 2, axis=1)
+            assert np.max(np.abs(traj.distance[w] - distance)) <= 1e-12
+            assert np.max(np.abs(traj.amplitude[w] - block[:, w])) <= 1e-12
+
+    @pytest.mark.parametrize("family, calls", [("random-dense", 1), ("piecewise", 10)])
+    def test_one_eigh_per_driver_segment(self, family, calls, monkeypatch):
+        n = 8
+        driver = build_driver(family, n, 1.0, 1.0, 5.0, np.random.default_rng(0), segments=10)
+        count = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            count.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        evolve_trajectories(1.0, standard_basis(n), driver, StateVector.uniform(n), uniform_grid(5.0, 50))
+        assert len(count) == calls
 
 
 class TestDivergenceProfile:

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -221,6 +222,9 @@ def test_every_command_is_deterministic(tmp_path):
         "analog --n 8 --energy 1.7e308 --dt 0.001 --horizon 100 --w random",
         "bound --n 4 --driver piecewise --segments 1000 --horizon 1e-321",
         "bound --n 2 --horizon 1e-320 --driver random-dense --driver-norm-mult 1.7e308",
+        # analog phases beyond what a double resolves at the pass tolerance
+        "analog --n 12 --seed 4 --dt 1.7e308 --horizon 1e300 --w random",
+        "analog --n 2 --seed 1 --energy 1e-10 --dt 1e308 --horizon 5.752585303661981e+115 --w random",
     ],
     ids=lambda argv: argv.replace(" ", "_"),
 )
@@ -269,13 +273,20 @@ def argvs(draw):
 @given(argvs())
 def test_every_argv_runs_or_exits_with_one_line(argv):
     err = io.StringIO()
+    budget = 16 << 20
     # patched here, not by a fixture: hypothesis refuses function-scoped fixtures
-    with mock.patch.object(cli, "MEMORY_BUDGET", 16 << 20), contextlib.redirect_stderr(err):
+    with mock.patch.object(cli, "MEMORY_BUDGET", budget), contextlib.redirect_stderr(err):
+        tracemalloc.start()
         try:
             code = main(argv + ["--out", os.devnull])
         except SystemExit as exc:
             code = exc.code
+        finally:
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
     assert code in (0, 1, 2)
+    if code == 0:  # an admitted run stays within the budget it was admitted under
+        assert peak <= budget
     lines = err.getvalue().splitlines()
     assert not any("Traceback" in line for line in lines)
     if code == 2:

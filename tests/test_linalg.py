@@ -16,7 +16,7 @@ from qsearch import (
     inner_product,
 )
 
-from qsearch.linalg import propagate
+from qsearch.linalg import propagate, rank_one_eigh
 
 from conftest import haar_state, random_hermitian
 
@@ -179,7 +179,7 @@ class TestExpmApply:
         h = HermitianOperator(q @ np.diag(lam) @ q.conj().T)
         v = haar_state(6, rng)
         times = [0.0, 2.5, -1.25, 0.4]
-        rows = propagate(h.mat, v.amps, times)
+        rows = propagate(*np.linalg.eigh(h.mat), v.amps, times)
         assert rows.shape == (4, 6)
         for t, row in zip(times, rows):
             expected = q @ (np.exp(-1j * lam * t) * (q.conj().T @ v.amps))
@@ -203,6 +203,98 @@ class TestExpmApply:
             reduced = evolve_closed_form(sys2, t)
             embedded = reduced.amp_w * w.amps + reduced.amp_r * r.amps
             assert np.max(np.abs(full.amps - embedded)) < 1e-10
+
+
+def gue_spectrum(n, rng):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.linalg.eigvalsh((g + g.conj().T) / 2.0)
+
+
+def assert_rank_one_eigensystem(lam, u, rho):
+    """rank_one_eigh against eigh of the dense diag(lam) + rho u u^dagger."""
+    mu, q = rank_one_eigh(lam, u, rho)
+    dense = np.diag(lam) + rho * np.outer(u, u.conj())
+    scale = max(float(np.max(np.abs(lam))), abs(rho) * float(np.vdot(u, u).real), 1e-300)
+    assert np.all(np.diff(mu) >= 0.0)
+    assert np.max(np.abs(mu - np.linalg.eigvalsh(dense))) <= 1e-13 * scale
+    assert np.linalg.norm(q.conj().T @ q - np.eye(lam.size), 2) <= 1e-13
+    assert np.linalg.norm(dense @ q - q * mu, 2) <= 1e-13 * scale
+
+
+class TestRankOneEigh:
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 128])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_gue_spectra(self, n, sign):
+        rng = np.random.default_rng(n)
+        assert_rank_one_eigensystem(gue_spectrum(n, rng), haar_state(n, rng).amps, sign * 1.5)
+
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    def test_zero_spectrum(self, n):
+        # the zero driver: one eigenvalue rho ||u||^2, the rest stay 0
+        rng = np.random.default_rng(20 + n)
+        for u in (haar_state(n, rng).amps, StateVector.basis_state(n, n - 1).amps):
+            assert_rank_one_eigensystem(np.zeros(n), u, 1.0)
+
+    def test_one_eigenvalue_beside_zeros(self):
+        # the paper driver: E mult |s><s| has N - 1 zero eigenvalues
+        n = 16
+        lam = np.zeros(n)
+        lam[-1] = 2.0
+        rng = np.random.default_rng(3)
+        _, vecs = np.linalg.eigh(2.0 * np.outer(np.full(n, 0.25), np.full(n, 0.25)))
+        for u in (vecs[5].conj(), haar_state(n, rng).amps, StateVector.basis_state(n, 0).amps):
+            assert_rank_one_eigensystem(lam, u, 1.0)
+
+    def test_clusters_within_1e_14(self):
+        rng = np.random.default_rng(4)
+        lam = gue_spectrum(32, rng)
+        lam[4:9] = lam[4] + np.arange(5) * 1e-14
+        lam[20:23] = lam[20]
+        assert_rank_one_eigensystem(np.sort(lam), haar_state(32, rng).amps, 1.0)
+
+    def test_zero_and_tiny_components(self):
+        rng = np.random.default_rng(5)
+        u = haar_state(32, rng).amps.copy()
+        u[[3, 9]] = 0.0
+        u[[7, 30]] = 1e-20
+        assert_rank_one_eigensystem(gue_spectrum(32, rng), u / np.linalg.norm(u), 1.0)
+
+    @pytest.mark.parametrize("exponent", [-8, -4, 0, 4, 8])
+    def test_rho_across_sixteen_decades(self, exponent):
+        rng = np.random.default_rng(6)
+        lam = gue_spectrum(48, rng)
+        u = haar_state(48, rng).amps
+        for sign in (1.0, -1.0):
+            assert_rank_one_eigensystem(lam, u, sign * 10.0**exponent * np.max(np.abs(lam)))
+
+    @pytest.mark.parametrize("size", [5e-324, 1e-306, 1e300])
+    def test_scales_near_the_ends_of_the_double_range(self, size):
+        # the problem is solved at unit scale, so neither 1/delta^2 nor z-hat overflows
+        rng = np.random.default_rng(8)
+        lam = gue_spectrum(10, rng)
+        u = haar_state(10, rng).amps
+        mu, q = rank_one_eigh(lam * size, u, size)
+        assert np.linalg.norm(q.conj().T @ q - np.eye(10), 2) <= 1e-13
+        if size > 1e-300:  # at 5e-324 only the unitarity is meaningful
+            ref_mu, _ = rank_one_eigh(lam, u, 1.0)
+            assert np.max(np.abs(mu / size - ref_mu)) <= 1e-13 * np.max(np.abs(ref_mu))
+
+    def test_rho_zero_is_the_identity(self):
+        lam = np.array([-1.0, 0.5, 2.0])
+        mu, q = rank_one_eigh(lam, StateVector.uniform(3).amps, 0.0)
+        assert np.array_equal(mu, lam)
+        assert np.array_equal(q, np.eye(3))
+
+    def test_stack_matches_one_vector_at_a_time(self):
+        # the rows of V^dagger, as bound passes them: one update per oracle
+        rng = np.random.default_rng(7)
+        lam, vecs = np.linalg.eigh(random_hermitian(12, rng).mat)
+        mu, q = rank_one_eigh(lam, vecs.conj(), 0.8)
+        assert mu.shape == (12, 12) and q.shape == (12, 12, 12)
+        for w in range(12):
+            one_mu, one_q = rank_one_eigh(lam, vecs[w].conj(), 0.8)
+            assert np.max(np.abs(mu[w] - one_mu)) <= 1e-14
+            assert np.max(np.abs(q[w] - one_q)) <= 1e-12
 
 
 @given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1), t=st.floats(-8.0, 8.0))

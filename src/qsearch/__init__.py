@@ -3,17 +3,14 @@ its digital counterpart, plus the driver-independent time lower bound and
 random-overlap statistics that frame both."""
 
 from .analog import (
-    TwoLevelState,
     TwoLevelSystem,
     absorb_phase,
     assemble_search_hamiltonian,
-    evolve_closed_form,
     full_space_probability,
     measurement_time,
     reduced_basis,
     success_probability,
     two_level_eigenvalues,
-    two_level_from_hamiltonians,
     two_level_hamiltonian,
 )
 from .bound import (
@@ -23,8 +20,6 @@ from .bound import (
     discrimination_time,
     divergence_profile,
     evolve_trajectories,
-    oracle_coupling_norms,
-    per_oracle_rates,
     sum_oracle_hamiltonians,
 )
 from .errors import (
@@ -35,7 +30,6 @@ from .errors import (
     NoRotationError,
     QSearchError,
     ScheduleError,
-    UnequalScaleError,
 )
 from .grover import (
     GroverInstance,
@@ -43,13 +37,9 @@ from .grover import (
     apply_uf,
     apply_us,
     optimal_iterations,
-    reduced_initial_state,
     reduced_probability,
-    reduced_step_matrix,
     rotation_angle,
     run_grover,
-    sample_index,
-    us_matrix,
 )
 from .linalg import (
     HermitianOperator,
@@ -80,9 +70,7 @@ __all__ = [
     "ScheduleError",
     "StateVector",
     "TrajectorySet",
-    "TwoLevelState",
     "TwoLevelSystem",
-    "UnequalScaleError",
     "absorb_phase",
     "apply_uf",
     "apply_us",
@@ -90,28 +78,20 @@ __all__ = [
     "discrimination_time",
     "divergence_profile",
     "eigendecompose",
-    "evolve_closed_form",
     "evolve_trajectories",
     "expm_apply",
     "full_space_probability",
     "inner_product",
     "measurement_time",
     "optimal_iterations",
-    "oracle_coupling_norms",
     "overlap_statistics",
-    "per_oracle_rates",
     "random_state",
     "reduced_basis",
-    "reduced_initial_state",
     "reduced_probability",
-    "reduced_step_matrix",
     "rotation_angle",
     "run_grover",
-    "sample_index",
     "success_probability",
     "sum_oracle_hamiltonians",
     "two_level_eigenvalues",
-    "two_level_from_hamiltonians",
     "two_level_hamiltonian",
-    "us_matrix",
 ]

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateOverlapError,
-    DimensionError,
-    NoRotationError,
-    UnequalScaleError,
-)
+from .errors import DegenerateOverlapError, DimensionError, NoRotationError
 from .linalg import HermitianOperator, RankOneHamiltonian, StateVector, inner_product, propagate
 
 # |<s|w>| at or above this is treated as colinear: no orthogonal complement.
@@ -159,31 +154,9 @@ def assemble_search_hamiltonian(
 ) -> HermitianOperator:
     """Full N x N sum of the oracle and driver rank-one terms: the dense
     small-N reference that ``full_space_probability`` is tested against.
-
-    Unequal scales are accepted here (useful for stronger-driver
-    experiments); the closed-form path requires equal scales and is guarded
-    by ``two_level_from_hamiltonians``.
+    Unequal scales are accepted (a stronger driver, say); the closed form
+    holds only for equal ones.
     """
     if oracle.dim != driver.dim:
         raise DimensionError(f"dimension mismatch: {oracle.dim} vs {driver.dim}")
-    return oracle.matrix() + driver.matrix()
-
-
-def two_level_from_hamiltonians(
-    oracle: RankOneHamiltonian, driver: RankOneHamiltonian
-) -> TwoLevelSystem:
-    """Reduce an (oracle, driver) pair to its TwoLevelSystem.
-
-    Raises ``UnequalScaleError`` when the scales differ, because the
-    closed-form solution only holds for a driver with the oracle's scale.
-    """
-    if oracle.dim != driver.dim:
-        raise DimensionError(f"dimension mismatch: {oracle.dim} vs {driver.dim}")
-    if oracle.scale != driver.scale:
-        raise UnequalScaleError(
-            f"closed form needs equal scales, got {oracle.scale} and {driver.scale}"
-        )
-    x = abs(inner_product(driver.direction, oracle.direction))
-    return TwoLevelSystem(
-        energy=oracle.scale, overlap=min(x, 1.0), dim_hint=oracle.dim
-    )
+    return HermitianOperator(oracle.matrix().mat + driver.matrix().mat)

@@ -4,11 +4,10 @@ For every candidate target w, the state evolved under E|w><w| + H_D(t) is
 compared against the reference evolved under H_D(t) alone. The summed
 squared distance D(t) grows at most 2*E*sqrt(N) per unit time regardless of
 the driver, which is what caps how fast any drive can reveal w. This module
-evolves all N + 1 trajectories over a time grid, keeping per oracle only
-what the bound reads (its distance to the reference and <w|psi_w(t)>), then
-computes D(t), checks the integrated and derivative forms of the growth
-bound, and locates the first time the trajectories become distinguishable
-at a given threshold.
+evolves all N + 1 trajectories over a time grid, keeping per oracle only its
+squared distance to the reference, then computes D(t), checks the integrated
+and derivative forms of the growth bound, and locates the first time the
+trajectories become distinguishable at a given threshold.
 
 Drivers are piecewise-constant schedules; each segment is propagated exactly
 (up to eigendecomposition error) in its own eigenbasis, so no ODE-stepping
@@ -137,28 +136,20 @@ def sum_oracle_hamiltonians(
 
 @dataclass(frozen=True, eq=False)
 class TrajectorySet:
-    """The driver-only reference's amplitude rows ``reference[j]`` on a common
-    time grid, and per oracle w (row w of ``oracle_basis``) only what the bound
-    reads: ``distance[w, j]`` = ||psi_w(t_j) - psi(t_j)||^2 and
-    ``amplitude[w, j]`` = <w|psi_w(t_j)>."""
+    """Per oracle w (row w of the oracle basis) and grid time t_j, only what
+    the bound reads: ``distance[w, j]`` = ||psi_w(t_j) - psi(t_j)||^2, the
+    squared distance to the driver-only reference."""
 
     grid: np.ndarray
-    reference: np.ndarray
     distance: np.ndarray
-    amplitude: np.ndarray
     oracle_scale: float
-    oracle_basis: np.ndarray
 
     def __post_init__(self):
-        for name in ("grid", "reference", "distance", "amplitude", "oracle_basis"):
-            getattr(self, name).setflags(write=False)
+        self.grid.setflags(write=False)
+        self.distance.setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return self.reference.shape[1]
-
-    @property
-    def num_oracles(self) -> int:
         return self.distance.shape[0]
 
 
@@ -223,11 +214,13 @@ def evolve_trajectories(
     initial: StateVector,
     grid: np.ndarray,
 ) -> TrajectorySet:
-    """Evolve the reference and every per-oracle trajectory over the grid.
+    """Evolve the reference and every per-oracle trajectory over the grid,
+    keeping per oracle only its squared distance to the reference.
 
     The reference follows the driver alone; trajectory w follows
-    E|w><w| + driver. The grid must start at 0, increase strictly, and stay
-    within the schedule horizon.
+    E|w><w| + driver. The oracle scale E must be finite and positive; the
+    grid must start at 0, increase strictly, and stay within the schedule
+    horizon.
 
     Each segment's driver is eigendecomposed once, H_D = V diag(lam) V^dagger
     (one ``eigh`` per segment), and the oracles are worked in its eigenbasis:
@@ -235,10 +228,12 @@ def evolve_trajectories(
     and ``rank_one_eigh`` gives the eigensystem of the middle factor in
     O(N^2). Each oracle's segment is then one ``propagate`` call from
     V^dagger psi_w (O(N^2 M) for M grid points), checked for norm drift and
-    reduced at once to its distance to the reference and its amplitude
-    u^dagger (V^dagger psi_w) = <w|psi_w>; only its state at the segment end
+    reduced at once to its distance to the reference (also worked in the
+    eigenbasis, which V leaves unchanged); only its state at the segment end
     is kept, mapped back by V.
     """
+    if not (math.isfinite(e) and e > 0.0):
+        raise ValueError(f"oracle scale must be positive, got {e}")
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.shape[0] < 1 or grid[0] != 0.0:
         raise ValueError("grid must be a 1-d array starting at 0")
@@ -256,12 +251,7 @@ def evolve_trajectories(
         raise BasisError(f"need a full oracle basis of shape ({n}, {n}), got {rows.shape}")
     _check_orthonormal(rows)
 
-    m = grid.shape[0]
-    reference = np.empty((m, n), dtype=np.complex128)
-    reference[0] = initial.amps
-    distance = np.zeros((n, m))
-    amplitude = np.empty((n, m), dtype=np.complex128)
-    amplitude[:, 0] = rows.conj() @ initial.amps
+    distance = np.zeros((n, grid.shape[0]))
     psi_ref = initial.amps
     states = np.repeat(initial.amps[None, :], n, axis=0)  # row w: trajectory w at the segment entry
     batch = max(1, ORACLE_BATCH_ELEMENTS // (n * n))
@@ -270,7 +260,6 @@ def evolve_trajectories(
         evals, vecs = np.linalg.eigh(op.mat)
         ref = propagate(evals, vecs, psi_ref, times).T
         _check_norms(ref)
-        reference[lo:hi] = ref[:, :-1].T
         psi_ref = ref[:, -1].copy()
         # From here on, the driver's eigenbasis: the reference's states (columns),
         # and the oracles u = V^dagger w and entry states V^dagger psi_w (rows).
@@ -285,19 +274,11 @@ def evolve_trajectories(
                 propagate(mu_w, q_w, entry[wi], times, out=cols)
                 _check_norms(cols)
                 states[wi] = vecs @ cols[:, -1]
-                amplitude[wi, lo:hi] = u[wi].conj() @ cols[:, :-1]
                 cols -= ref  # now the differences from the reference
                 diff = cols[:, :-1].view(np.float64)
                 distance[wi, lo:hi] = np.einsum("ij,ij->j", diff, diff).reshape(-1, 2).sum(axis=1)
 
-    return TrajectorySet(
-        grid=grid.copy(),
-        reference=reference,
-        distance=distance,
-        amplitude=amplitude,
-        oracle_scale=float(e),
-        oracle_basis=rows,
-    )
+    return TrajectorySet(grid=grid.copy(), distance=distance, oracle_scale=float(e))
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,7 +341,7 @@ def divergence_profile(traj: TrajectorySet) -> BoundReport:
         curvature = 0.0
         deriv_ok = True
 
-    runner_up = min(1, traj.num_oracles - 1)  # a lone oracle is its own runner-up
+    runner_up = min(1, traj.dim - 1)  # a lone oracle is its own runner-up
     part = np.partition(traj.distance, runner_up, axis=0)
     min_d, second_d = part[0], part[runner_up]
 
@@ -407,22 +388,3 @@ def discrimination_time(traj: TrajectorySet, epsilon: float) -> BoundReport:
         lower_bound=lower,
         lower_bound_satisfied=satisfied,
     )
-
-
-def per_oracle_rates(traj: TrajectorySet) -> np.ndarray:
-    """Instantaneous growth rate 2*Im <psi_w,t| E|w><w| |psi_t> per oracle.
-
-    Shape (num_oracles, len(grid)); summing over oracles gives the exact
-    dD/dt whose Cauchy-Schwarz estimate is the 2*E*sqrt(N) cap.
-    """
-    overlap = np.conj(traj.amplitude) * (traj.oracle_basis.conj() @ traj.reference.T)
-    return 2.0 * traj.oracle_scale * overlap.imag
-
-
-def oracle_coupling_norms(traj: TrajectorySet) -> np.ndarray:
-    """|| E|w><w| psi_t || = E |<w|psi_t>| per oracle and grid time.
-
-    Diagnostic for how much slack the Cauchy-Schwarz step leaves; shape
-    (num_oracles, len(grid)).
-    """
-    return traj.oracle_scale * np.abs(traj.oracle_basis.conj() @ traj.reference.T)

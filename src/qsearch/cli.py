@@ -133,12 +133,13 @@ def _estimated_bytes(command: str, cfg: argparse.Namespace) -> int:
         # per segment its N x N operator and 0.6 kB of objects; 200 bytes per N x N
         # entry for building an operator, the driver's eigensystem, the oracle basis
         # and the hand-off states; one batch of rank-one updates; per grid point
-        # 7 rows of N amplitudes while an oracle is reduced, and its report row
+        # N distances and, while an oracle is reduced, 3 rows of N amplitudes (its
+        # states, the reference's and the phase table), and its report row
         segments = cfg.segments if cfg.driver == "piecewise" else 1
         _, horizon, dt = _bound_times(cfg)
         return ((24 * cfg.n**2 + 600) * segments + 200 * cfg.n**2
                 + 128 * min(cfg.n**3, ORACLE_BATCH_ELEMENTS)
-                + (112 * cfg.n + REPORT_ROW_BYTES) * _grid_points(dt, horizon))
+                + (56 * cfg.n + REPORT_ROW_BYTES) * _grid_points(dt, horizon))
     # stats: one float32 buffer of 4 coordinates per dimension per chunk sample,
     # then a few float64 arrays of one entry per sample
     return 16 * cfg.n * min(_CHUNK, cfg.samples) + 24 * cfg.samples

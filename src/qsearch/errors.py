@@ -21,10 +21,6 @@ class NoRotationError(QSearchError):
     """Zero overlap: the drive never transfers amplitude to the target."""
 
 
-class UnequalScaleError(QSearchError):
-    """Closed-form dynamics require oracle and driver energy scales to match."""
-
-
 class BasisError(QSearchError):
     """A purported orthonormal basis fails the orthonormality check."""
 

@@ -142,11 +142,3 @@ def optimal_iterations(n: int) -> int:
     th = rotation_angle(n)
     target = math.pi / (2.0 * th) - 0.5
     return max(0, math.ceil(target - 0.5))
-
-
-def sample_index(v: StateVector, rng: np.random.Generator) -> int:
-    """Draw a basis index from |amplitudes|^2 (measurement simulation)."""
-    probs = np.abs(v.amps) ** 2
-    probs /= probs.sum()
-    return int(rng.choice(v.dim, p=probs))
-

@@ -138,13 +138,6 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
-        if not isinstance(other, HermitianOperator):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return HermitianOperator(self.mat + other.mat)
-
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.dim})"
 

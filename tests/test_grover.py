@@ -13,14 +13,12 @@ from qsearch import (
     apply_uf,
     apply_us,
     optimal_iterations,
-    reduced_initial_state,
     reduced_probability,
-    reduced_step_matrix,
     rotation_angle,
     run_grover,
-    sample_index,
-    us_matrix,
 )
+
+from qsearch.grover import reduced_initial_state, reduced_step_matrix, us_matrix
 
 from conftest import haar_state
 
@@ -220,31 +218,6 @@ class TestOptimalIterations:
         for n in (2, 3, 4, 16, 100, 1024, 4096):
             p = reduced_probability(n, optimal_iterations(n))
             assert p >= 1.0 - 1.0 / n - 1e-12
-
-
-class TestSampling:
-    def test_deterministic_given_seed(self):
-        v = StateVector.uniform(16)
-        a = [sample_index(v, np.random.default_rng(4)) for _ in range(5)]
-        b = [sample_index(v, np.random.default_rng(4)) for _ in range(5)]
-        assert a == b
-
-    def test_certain_state_always_found(self):
-        rng = np.random.default_rng(8)
-        w = StateVector.basis_state(8, 5)
-        assert all(sample_index(w, rng) == 5 for _ in range(20))
-
-    def test_end_to_end_search_finds_marked(self):
-        inst = GroverInstance(256, 123)
-        run = run_grover(inst, optimal_iterations(256))
-        assert run.probabilities[-1] > 0.99
-        # replay the final state and measure it
-        v = StateVector.uniform(256)
-        for _ in range(run.iterations):
-            v = apply_us(apply_uf(inst, v))
-        rng = np.random.default_rng(0)
-        hits = sum(sample_index(v, rng) == inst.marked for _ in range(50))
-        assert hits >= 45
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 128))

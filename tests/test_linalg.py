@@ -188,7 +188,8 @@ class TestExpmApply:
     def test_full_space_matches_two_level_closed_form(self):
         # H = E|w><w| + E|s><s| at N = 4 confines s to the (w, r) plane;
         # the exact trigonometric solution is the oracle for the propagator.
-        from qsearch import evolve_closed_form, reduced_basis, TwoLevelSystem
+        from qsearch import reduced_basis, TwoLevelSystem
+        from qsearch.analog import evolve_closed_form
 
         n, e = 4, 1.0
         s = StateVector.uniform(n)

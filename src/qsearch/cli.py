@@ -126,9 +126,9 @@ def _estimated_bytes(command: str, cfg: argparse.Namespace) -> int:
         # s and w as arrays, as lists of float pairs and as JSON text
         return 1100 * cfg.n
     if command == "grover":
-        # three state vectors, then one report row per step; k* < sqrt(N)
+        # one real state vector, then one report row per step; k* < sqrt(N)
         steps = cfg.iterations if cfg.iterations is not None else math.isqrt(cfg.n)
-        return 64 * cfg.n + REPORT_ROW_BYTES * (steps + 1)
+        return 8 * cfg.n + REPORT_ROW_BYTES * (steps + 1)
     if command == "bound":
         # per segment its N x N operator and 0.6 kB of objects; 200 bytes per N x N
         # entry for building an operator, the driver's eigensystem, the oracle basis

@@ -6,6 +6,13 @@ is booked as two oracle calls (the work-bit erasure cost of a reversible
 implementation). ``apply_us`` uses the O(N) inversion-about-the-mean
 identity; a dense reference matrix is available for small N to cross-check
 it.
+
+``run_grover`` iterates on one real float64 array in place. Real arithmetic
+is exact here, not an approximation: U_f, U_s and the start state |s> are
+real, so the imaginary half of a complex state would stay zero throughout.
+Both paths apply the reflections through the same two helpers, so
+``apply_uf``/``apply_us`` on a ``StateVector`` and the in-place loop share
+one definition of each.
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
-from .linalg import StateVector
+from .errors import DimensionError, NormalizationError
+from .linalg import NORM_REPAIR_TOL, StateVector
 
 US_DENSE_MAX_DIM = 64
 
@@ -49,7 +56,7 @@ class GroverRun:
         probs = np.asarray(self.probabilities, dtype=np.float64)
         if probs.shape != (self.iterations + 1,):
             raise ValueError(f"need {self.iterations + 1} probabilities, got {probs.shape}")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
+        if not np.all((0.0 <= probs) & (probs <= 1.0)):  # also rejects nan
             raise ValueError("probabilities must lie in [0, 1]")
         if self.oracle_calls != 2 * self.iterations:
             raise ValueError(f"oracle_calls must be 2k = {2 * self.iterations}")
@@ -57,19 +64,28 @@ class GroverRun:
         object.__setattr__(self, "probabilities", probs)
 
 
+def _flip(a: np.ndarray, marked: int) -> None:
+    """(1 - 2|w><w|) a in place, exactly."""
+    a[marked] = -a[marked]
+
+
+def _reflect_about_mean(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = (2|s><s| - 1) a = 2 mean(a) - a; ``out`` may be ``a`` itself."""
+    return np.subtract(2.0 * a.mean(), a, out=out)
+
+
 def apply_uf(inst: GroverInstance, v: StateVector) -> StateVector:
     """Flip the sign of the marked amplitude: (1 - 2|w><w|) v, exactly."""
     if v.dim != inst.dim:
         raise DimensionError(f"dimension mismatch: {v.dim} vs {inst.dim}")
     amps = v.amps.copy()
-    amps[inst.marked] = -amps[inst.marked]
+    _flip(amps, inst.marked)
     return StateVector._wrap(amps)
 
 
 def apply_us(v: StateVector) -> StateVector:
     """(2|s><s| - 1) v for the uniform s, via inversion about the mean."""
-    m = v.amps.mean()
-    return StateVector._wrap(2.0 * m - v.amps)
+    return StateVector._wrap(_reflect_about_mean(v.amps, np.empty_like(v.amps)))
 
 
 def us_matrix(n: int) -> np.ndarray:
@@ -120,15 +136,27 @@ def run_grover(inst: GroverInstance, k: int) -> GroverRun:
 
     Records |<w|psi>|^2 after 0..k steps; the j-th entry should match
     ``reduced_probability(dim, j)``.
+
+    The state is one real float64 array of N entries 1/sqrt(N) (each within
+    half an ulp, so it is not renormalized), reflected in place by the
+    helpers behind ``apply_uf``/``apply_us`` (exact, since U_f, U_s and |s>
+    are real), so a run holds 8 N bytes of state. Every step still takes the
+    mean over the full N-vector; the two reduced coordinates are never used,
+    so the result stays an independent check of ``reduced_probability``. The
+    norm is checked once, after the last step.
     """
     if k < 0:
         raise ValueError(f"iteration count must be >= 0, got {k}")
-    v = StateVector.uniform(inst.dim)
+    amps = np.full(inst.dim, 1.0 / math.sqrt(inst.dim))
     probs = np.empty(k + 1, dtype=np.float64)
-    probs[0] = min(abs(v.amps[inst.marked]) ** 2, 1.0)
+    probs[0] = min(amps[inst.marked] ** 2, 1.0)
     for j in range(1, k + 1):
-        v = apply_us(apply_uf(inst, v))
-        probs[j] = min(abs(v.amps[inst.marked]) ** 2, 1.0)
+        _flip(amps, inst.marked)
+        _reflect_about_mean(amps, out=amps)
+        probs[j] = min(amps[inst.marked] ** 2, 1.0)
+    nrm = np.linalg.norm(amps)
+    if not abs(nrm - 1.0) <= NORM_REPAIR_TOL:  # also rejects nan
+        raise NormalizationError(f"grover iterate drifted to norm {nrm!r}")
     return GroverRun(instance=inst, iterations=k, probabilities=probs, oracle_calls=2 * k)
 
 

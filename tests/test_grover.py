@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,49 @@ class TestRunGrover:
             GroverRun(GroverInstance(4, 0), 1, np.array([0.25, 1.0]), oracle_calls=3)
         with pytest.raises(ValueError):
             GroverRun(GroverInstance(4, 0), 1, np.array([0.25, 1.5]), oracle_calls=2)
+        with pytest.raises(ValueError):
+            GroverRun(GroverInstance(4, 0), 1, np.array([0.25, np.nan]), oracle_calls=2)
+
+
+def statevector_probabilities(inst, k):
+    """Reference for run_grover: the iterate through the StateVector-level
+    apply_uf/apply_us, on the complex state."""
+    v = StateVector.uniform(inst.dim)
+    probs = [min(abs(v.amps[inst.marked]) ** 2, 1.0)]
+    for _ in range(k):
+        v = apply_us(apply_uf(inst, v))
+        probs.append(min(abs(v.amps[inst.marked]) ** 2, 1.0))
+    return np.array(probs)
+
+
+class TestInPlaceIterate:
+    def test_bit_identical_to_statevector_loop_at_default_mark(self):
+        # the reports' default case, marked 0 at k*, where the real and
+        # complex means round alike at every power of two
+        for p in range(1, 13):
+            n = 2**p
+            inst, k = GroverInstance(n, 0), optimal_iterations(n)
+            assert np.array_equal(run_grover(inst, k).probabilities, statevector_probabilities(inst, k))
+
+    def test_matches_statevector_loop(self):
+        # numpy's pairwise sum groups a real array differently from a complex
+        # one, so at other marks and dims the last bits may differ
+        for n in (*(2**p for p in range(1, 13)), 3, 5, 7, 100, 1000, 12345):
+            k = 2 * optimal_iterations(n) + 1
+            for marked in (0, n // 3, n - 1):
+                inst = GroverInstance(n, marked)
+                diff = run_grover(inst, k).probabilities - statevector_probabilities(inst, k)
+                assert np.max(np.abs(diff)) < 1e-14
+
+    def test_state_is_one_real_vector(self):
+        n = 2**16
+        tracemalloc.start()
+        try:
+            run_grover(GroverInstance(n, 5), 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * n
 
 
 class TestOptimalIterations:

@@ -64,7 +64,7 @@ def absorb_phase(s: StateVector, w: StateVector) -> StateVector:
     x = abs(ip)
     if x == 0.0:
         return s
-    return StateVector._wrap((ip / x) * s.amps)
+    return StateVector((ip / x) * s.amps)
 
 
 def reduced_basis(s: StateVector, w: StateVector) -> tuple[float, StateVector]:
@@ -81,7 +81,7 @@ def reduced_basis(s: StateVector, w: StateVector) -> tuple[float, StateVector]:
         raise DegenerateOverlapError(f"overlap {x!r} leaves no orthogonal component")
     s_re = absorb_phase(s, w)
     r = (s_re.amps - x * w.amps) / math.sqrt(1.0 - x * x)
-    return x, StateVector._wrap(r)
+    return x, StateVector(r)
 
 
 def two_level_hamiltonian(sys: TwoLevelSystem) -> HermitianOperator:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NormalizationError
-from .linalg import NORM_REPAIR_TOL, StateVector
+from .linalg import NORM_TOL, StateVector
 
 US_DENSE_MAX_DIM = 64
 
@@ -80,12 +80,12 @@ def apply_uf(inst: GroverInstance, v: StateVector) -> StateVector:
         raise DimensionError(f"dimension mismatch: {v.dim} vs {inst.dim}")
     amps = v.amps.copy()
     _flip(amps, inst.marked)
-    return StateVector._wrap(amps)
+    return StateVector(amps)
 
 
 def apply_us(v: StateVector) -> StateVector:
     """(2|s><s| - 1) v for the uniform s, via inversion about the mean."""
-    return StateVector._wrap(_reflect_about_mean(v.amps, np.empty_like(v.amps)))
+    return StateVector(_reflect_about_mean(v.amps, np.empty_like(v.amps)))
 
 
 def us_matrix(n: int) -> np.ndarray:
@@ -155,7 +155,7 @@ def run_grover(inst: GroverInstance, k: int) -> GroverRun:
         _reflect_about_mean(amps, out=amps)
         probs[j] = min(amps[inst.marked] ** 2, 1.0)
     nrm = np.linalg.norm(amps)
-    if not abs(nrm - 1.0) <= NORM_REPAIR_TOL:  # also rejects nan
+    if not abs(nrm - 1.0) <= NORM_TOL:  # also rejects nan
         raise NormalizationError(f"grover iterate drifted to norm {nrm!r}")
     return GroverRun(instance=inst, iterations=k, probabilities=probs, oracle_calls=2 * k)
 

@@ -1,11 +1,12 @@
 """Dense complex linear algebra substrate: normalized state vectors,
-exactly-Hermitian operators, rank-one Hamiltonians, eigendecomposition, the
+Hermitian operators, rank-one Hamiltonians, eigendecomposition, the
 rank-one update of an eigensystem and the package's one eigenbasis
 propagator.
 
-All values are immutable after construction (arrays are write-locked), so
-they are safe to share between threads; every operation here is a pure
-function of its inputs.
+The value types check their input and store a write-locked copy of it
+unchanged: nothing is rescaled or symmetrized on the way in. All values are
+therefore immutable after construction, so they are safe to share between
+threads; every operation here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import numpy as np
 
 from .errors import DimensionError, NormalizationError
 
-# Constructors repair vectors this close to unit norm and reject anything
-# further out, so bad data is never silently "fixed".
-NORM_REPAIR_TOL = 1e-6
+# StateVector rejects a norm further than this from 1; it never rescales.
+NORM_TOL = 1e-6
 
 HERMITICITY_TOL = 1e-10
 
@@ -35,11 +35,11 @@ SECULAR_MAX_STEPS = 100
 class StateVector:
     """Normalized complex amplitude vector.
 
-    Input within ``NORM_REPAIR_TOL`` of unit norm is rescaled; anything
-    further out raises ``NormalizationError``. Vectors already unit to
-    1e-12 pass through untouched, so exact operations on normalized states
-    (negation, sign flips) stay bit-faithful instead of being re-rounded by
-    a division by 1 +- ulp.
+    The input is copied and stored unchanged. It must be 1-d and non-empty
+    (else ``DimensionError``) with a norm within ``NORM_TOL`` of 1 (else
+    ``NormalizationError``); it is never rescaled, so a state built by an
+    exact operation (a sign flip, ``uniform``) keeps every bit, and a caller
+    with an unnormalized vector divides by its norm itself.
     """
 
     amps: np.ndarray
@@ -49,29 +49,10 @@ class StateVector:
         if arr.ndim != 1 or arr.size < 1:
             raise DimensionError(f"state vector must be 1-d and non-empty, got shape {arr.shape}")
         nrm = np.linalg.norm(arr)
-        if not abs(nrm - 1.0) <= NORM_REPAIR_TOL:  # also rejects nan
-            raise NormalizationError(f"norm {nrm!r} too far from 1 to normalize")
-        if abs(nrm - 1.0) > 1e-12:
-            arr = arr / nrm
+        if not abs(nrm - 1.0) <= NORM_TOL:  # also rejects nan
+            raise NormalizationError(f"norm {nrm!r} is not within {NORM_TOL} of 1")
         arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
-
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "StateVector":
-        """Adopt a freshly computed array from a norm-preserving operation.
-
-        Skips the renormalization pass so that exact operations (sign flips,
-        reflections, unitary propagation) stay bit-faithful; the norm is
-        still verified.
-        """
-        arr = np.asarray(arr, dtype=np.complex128)
-        nrm = np.linalg.norm(arr)
-        if not abs(nrm - 1.0) <= NORM_REPAIR_TOL:
-            raise NormalizationError(f"propagation produced norm {nrm!r}")
-        arr.setflags(write=False)
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "amps", arr)
-        return obj
 
     @classmethod
     def basis_state(cls, n: int, i: int) -> "StateVector":
@@ -80,7 +61,7 @@ class StateVector:
             raise DimensionError(f"basis index {i} out of range for dimension {n}")
         arr = np.zeros(n, dtype=np.complex128)
         arr[i] = 1.0
-        return cls._wrap(arr)
+        return cls(arr)
 
     @classmethod
     def uniform(cls, n: int) -> "StateVector":
@@ -107,13 +88,15 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class HermitianOperator:
-    """N x N complex matrix that is Hermitian exactly as stored.
+    """N x N complex matrix, Hermitian within ``HERMITICITY_TOL``.
 
-    Construction keeps the upper triangle, mirrors its conjugate into the
-    lower triangle and drops any imaginary part of the diagonal, so
-    ``mat[i, j] == conj(mat[j, i])`` holds bit-exactly. Input that deviates
-    from Hermiticity beyond ``HERMITICITY_TOL`` (relative to the largest
-    entry) is rejected rather than symmetrized.
+    The input is copied and stored unchanged. It must be square and
+    non-empty (else ``DimensionError``) and deviate from its conjugate
+    transpose by at most ``HERMITICITY_TOL`` relative to its largest entry
+    (else ``ValueError``, which nan and inf entries also raise). It is not
+    symmetrized: everything in this package that computes with ``mat``
+    passes it to ``np.linalg.eigh``, which reads only the lower triangle and
+    the real part of the diagonal.
     """
 
     mat: np.ndarray
@@ -122,13 +105,11 @@ class HermitianOperator:
         m = np.array(self.mat, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise DimensionError(f"operator must be square, got shape {m.shape}")
-        scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
+        scale = max(1.0, float(np.max(np.abs(m))))
         if not float(np.max(np.abs(m - m.conj().T))) <= HERMITICITY_TOL * scale:  # also nan, inf
             raise ValueError("matrix is not Hermitian within tolerance")
-        upper = np.triu(m, 1)
-        exact = upper + upper.conj().T + np.diag(m.diagonal().real)
-        exact.setflags(write=False)
-        object.__setattr__(self, "mat", exact)
+        m.setflags(write=False)
+        object.__setattr__(self, "mat", m)
 
     @classmethod
     def zero(cls, n: int) -> "HermitianOperator":
@@ -170,17 +151,18 @@ def eigendecompose(h: HermitianOperator) -> tuple[np.ndarray, list[StateVector]]
     downstream checks must be spectrum- or projector-level.
     """
     evals, vecs = np.linalg.eigh(h.mat)
-    return evals, [StateVector._wrap(vecs[:, i].copy()) for i in range(h.dim)]
+    return evals, [StateVector(vecs[:, i]) for i in range(h.dim)]
 
 
 def rank_one_eigh(evals: np.ndarray, u: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem of diag(evals) + rho u u^dagger, in the form ``np.linalg.eigh``
-    gives: ascending eigenvalues and the unitary whose columns are eigenvectors.
+    """Eigensystems of diag(evals) + rho u_b u_b^dagger for each row u_b of a
+    stack ``u`` of shape (B, N), in the form ``np.linalg.eigh`` gives them:
+    ascending eigenvalues (B, N) and the unitaries (B, N, N) whose columns
+    are eigenvectors.
 
-    ``evals`` is real and ascending and ``rho`` a real of either sign. ``u``
-    is one complex N-vector, or a stack of them (shape (B, N)) solved
-    together, which returns stacked results; a stack shares one deflation
-    tolerance, set by its largest rho ||u||^2. O(N^2) work per vector
+    ``evals`` is real and ascending and ``rho`` >= 0; a 1-d ``u`` or a
+    negative ``rho`` raises ``ValueError``. The stack shares one deflation
+    tolerance, set by its largest rho ||u_b||^2. O(N^2) work per row
     instead of the O(N^3) of a dense ``eigh`` (Golub 1973; Bunch, Nielsen &
     Sorensen 1978):
 
@@ -200,12 +182,8 @@ def rank_one_eigh(evals: np.ndarray, u: np.ndarray, rho: float) -> tuple[np.ndar
     """
     d = np.asarray(evals, dtype=np.float64)
     u = np.asarray(u, dtype=np.complex128)
-    if u.ndim == 1:
-        mu, q = rank_one_eigh(d, u[None, :], rho)
-        return mu[0], q[0]
-    if rho < 0.0:  # -(diag(-evals) + |rho| u u^dagger), with the order reversed
-        mu, q = rank_one_eigh(-d[::-1], u[:, ::-1], -rho)
-        return -mu[:, ::-1], q[:, ::-1, ::-1]
+    if u.ndim != 2 or rho < 0.0:
+        raise ValueError(f"need a (B, N) stack u and rho >= 0, got shape {u.shape} and rho {rho}")
     batch, n = u.shape
     z = np.abs(u)
     phase = np.ones_like(u)
@@ -384,4 +362,4 @@ def expm_apply(h: HermitianOperator, t: float, v: StateVector) -> StateVector:
         raise DimensionError(f"dimension mismatch: {h.dim} vs {v.dim}")
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
-    return StateVector._wrap(propagate(*np.linalg.eigh(h.mat), v.amps, [t])[0])
+    return StateVector(propagate(*np.linalg.eigh(h.mat), v.amps, [t])[0])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,14 +18,17 @@ from qsearch import (
 )
 
 from qsearch.linalg import propagate, rank_one_eigh
+from qsearch.statistics import random_state
 
 from conftest import haar_state, random_hermitian
 
 
 class TestStateVector:
-    def test_accepts_and_rescales_near_unit_input(self):
-        v = StateVector(np.array([1.0 + 2e-7, 0.0, 0.0]))
-        assert v.norm() == pytest.approx(1.0, abs=1e-12)
+    def test_stores_near_unit_input_unchanged(self):
+        arr = np.array([1.0 + 2e-7, 0.0, 0.0])
+        v = StateVector(arr)
+        assert np.array_equal(v.amps, arr)
+        assert v.norm() == 1.0 + 2e-7
 
     def test_rejects_far_from_unit_norm(self):
         with pytest.raises(NormalizationError):
@@ -35,8 +39,6 @@ class TestStateVector:
         arr = np.array([np.nan, 0.0])
         with pytest.raises(NormalizationError):
             StateVector(arr)
-        with pytest.raises(NormalizationError):
-            StateVector._wrap(arr)
 
     def test_rejects_non_vector_input(self):
         with pytest.raises(DimensionError):
@@ -52,6 +54,18 @@ class TestStateVector:
     def test_basis_state_is_exact(self):
         v = StateVector.basis_state(3, 1)
         assert np.array_equal(v.amps, np.array([0, 1, 0], dtype=complex))
+
+    def test_large_uniform_and_random_states_are_stored_exactly(self):
+        # at this N (not a power of two) the complex norm of the exact uniform
+        # state is more than 1e-12 from 1, so a rescale would move every amplitude
+        n = 648059
+        s = StateVector.uniform(n)
+        assert np.array_equal(s.amps, np.full(n, 1.0 / math.sqrt(n)))
+        assert abs(math.fsum(s.amps.real ** 2) - 1.0) <= 2.3e-16
+        w = random_state(n, np.random.Generator(np.random.SFC64(19)))
+        z = np.random.Generator(np.random.SFC64(19)).standard_normal((2, n))
+        v = z[0] + 1j * z[1]
+        assert np.array_equal(w.amps, v / np.linalg.norm(v))
 
 
 class TestInnerProduct:
@@ -89,6 +103,25 @@ class TestHermitianOperator:
         rng = np.random.default_rng(2)
         h = random_hermitian(6, rng)
         assert np.array_equal(h.mat, h.mat.conj().T)
+
+    def test_near_hermitian_input_is_stored_unchanged(self):
+        rng = np.random.default_rng(13)
+        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        m = (g + g.conj().T) / 2.0 + 1e-13 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        assert not np.array_equal(m, m.conj().T)
+        assert np.array_equal(HermitianOperator(m).mat, m)
+
+    def test_construction_peaks_below_four_matrices(self):
+        # the stored copy, m - m^dagger and its magnitudes: about 3 x 16 N^2 bytes
+        n = 512
+        m = random_hermitian(n, np.random.default_rng(14)).mat
+        tracemalloc.start()
+        try:
+            HermitianOperator(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * 16 * n * n
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
@@ -213,7 +246,8 @@ def gue_spectrum(n, rng):
 
 def assert_rank_one_eigensystem(lam, u, rho):
     """rank_one_eigh against eigh of the dense diag(lam) + rho u u^dagger."""
-    mu, q = rank_one_eigh(lam, u, rho)
+    mu, q = rank_one_eigh(lam, u[None], rho)
+    mu, q = mu[0], q[0]
     dense = np.diag(lam) + rho * np.outer(u, u.conj())
     scale = max(float(np.max(np.abs(lam))), abs(rho) * float(np.vdot(u, u).real), 1e-300)
     assert np.all(np.diff(mu) >= 0.0)
@@ -224,7 +258,7 @@ def assert_rank_one_eigensystem(lam, u, rho):
 
 class TestRankOneEigh:
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 128])
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("sign", [1.0])
     def test_gue_spectra(self, n, sign):
         rng = np.random.default_rng(n)
         assert_rank_one_eigensystem(gue_spectrum(n, rng), haar_state(n, rng).amps, sign * 1.5)
@@ -265,8 +299,7 @@ class TestRankOneEigh:
         rng = np.random.default_rng(6)
         lam = gue_spectrum(48, rng)
         u = haar_state(48, rng).amps
-        for sign in (1.0, -1.0):
-            assert_rank_one_eigensystem(lam, u, sign * 10.0**exponent * np.max(np.abs(lam)))
+        assert_rank_one_eigensystem(lam, u, 10.0**exponent * np.max(np.abs(lam)))
 
     @pytest.mark.parametrize("size", [5e-324, 1e-306, 1e300])
     def test_scales_near_the_ends_of_the_double_range(self, size):
@@ -274,17 +307,25 @@ class TestRankOneEigh:
         rng = np.random.default_rng(8)
         lam = gue_spectrum(10, rng)
         u = haar_state(10, rng).amps
-        mu, q = rank_one_eigh(lam * size, u, size)
+        mu, q = rank_one_eigh(lam * size, u[None], size)
+        mu, q = mu[0], q[0]
         assert np.linalg.norm(q.conj().T @ q - np.eye(10), 2) <= 1e-13
         if size > 1e-300:  # at 5e-324 only the unitarity is meaningful
-            ref_mu, _ = rank_one_eigh(lam, u, 1.0)
+            ref_mu = rank_one_eigh(lam, u[None], 1.0)[0][0]
             assert np.max(np.abs(mu / size - ref_mu)) <= 1e-13 * np.max(np.abs(ref_mu))
 
     def test_rho_zero_is_the_identity(self):
         lam = np.array([-1.0, 0.5, 2.0])
-        mu, q = rank_one_eigh(lam, StateVector.uniform(3).amps, 0.0)
-        assert np.array_equal(mu, lam)
-        assert np.array_equal(q, np.eye(3))
+        mu, q = rank_one_eigh(lam, StateVector.uniform(3).amps[None], 0.0)
+        assert np.array_equal(mu[0], lam)
+        assert np.array_equal(q[0], np.eye(3))
+
+    def test_refuses_one_vector_and_negative_rho(self):
+        u = StateVector.uniform(3).amps
+        with pytest.raises(ValueError):
+            rank_one_eigh(np.zeros(3), u, 1.0)
+        with pytest.raises(ValueError):
+            rank_one_eigh(np.zeros(3), u[None], -1.0)
 
     def test_stack_matches_one_vector_at_a_time(self):
         # the rows of V^dagger, as bound passes them: one update per oracle
@@ -293,9 +334,9 @@ class TestRankOneEigh:
         mu, q = rank_one_eigh(lam, vecs.conj(), 0.8)
         assert mu.shape == (12, 12) and q.shape == (12, 12, 12)
         for w in range(12):
-            one_mu, one_q = rank_one_eigh(lam, vecs[w].conj(), 0.8)
-            assert np.max(np.abs(mu[w] - one_mu)) <= 1e-14
-            assert np.max(np.abs(q[w] - one_q)) <= 1e-12
+            one_mu, one_q = rank_one_eigh(lam, vecs[w].conj()[None], 0.8)
+            assert np.max(np.abs(mu[w] - one_mu[0])) <= 1e-14
+            assert np.max(np.abs(q[w] - one_q[0])) <= 1e-12
 
 
 @given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1), t=st.floats(-8.0, 8.0))

@@ -140,9 +140,11 @@ def _estimated_bytes(command: str, cfg: argparse.Namespace) -> int:
         return ((24 * cfg.n**2 + 600) * segments + 200 * cfg.n**2
                 + 128 * min(cfg.n**3, ORACLE_BATCH_ELEMENTS)
                 + (56 * cfg.n + REPORT_ROW_BYTES) * _grid_points(dt, horizon))
-    # stats: one float32 buffer of 4 coordinates per dimension per chunk sample,
-    # then a few float64 arrays of one entry per sample
-    return 16 * cfg.n * min(_CHUNK, cfg.samples) + 24 * cfg.samples
+    # stats: 60 bytes per coordinate pair of one chunk (two raw words and the
+    # float32 terms) of up to _CHUNK pairs, or one sample if n is larger; then
+    # a few float64 arrays of one entry per sample
+    pairs = cfg.n * min(max(1, _CHUNK // cfg.n), cfg.samples)
+    return 60 * pairs + 24 * cfg.samples
 
 
 def _non_finite_entry(payload: dict) -> str | None:

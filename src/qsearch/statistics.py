@@ -1,14 +1,27 @@
 """Monte Carlo check that two random unit vectors in complex dimension N
 have E[|<s|w>|^2] = 1/N.
 
-Sampling draws all 2N real coordinates from a standard normal and
-normalizes, which is the uniform distribution on the unit sphere. The
-generator is numpy's SFC64 (named, seedable, platform independent) so a
-fixed seed reproduces results byte for byte; parallel use would carve
-sub-streams with ``numpy.random.SeedSequence(seed).spawn``, which keeps the
-merged estimate order independent. The bulk estimator draws coordinates in
-float32 (same distribution up to coordinate discretization, roughly 3x the
-throughput on one core) and accumulates the estimates in float64.
+Each pair (s, w) is drawn in full, every coordinate of both vectors from
+its own random bits. A standard complex Gaussian z has |z|^2 ~ Exp(1) and
+an independent phase uniform on [0, 2 pi) (Box & Muller, Ann. Math. Stat.
+29, 610 (1958)), so N such coordinates normalized are uniform on the unit
+sphere, and x^2 = |<s|w>|^2 / (<s|s><w|w>) needs no normalization step.
+The law is exact up to the 24-bit resolution of the two uniforms, and even
+that keeps E[x^2] = 1/N exact: the phase takes 2^24 equally spaced values,
+so the cross terms of |<s|w>|^2 average to zero, and the moduli are
+exchangeable. Nothing is taken from the known Beta(1, N-1) law of x^2, and
+s is not fixed to a basis vector, so the check stays an experiment.
+
+Bits map to coordinates as follows. The generator is numpy's SFC64 (named,
+seedable, platform independent), and a fixed seed reproduces results byte
+for byte. Each chunk takes 2 c N raw 64-bit words, shaped (2, c, N): one
+word per coordinate of s and one per coordinate of w. The top 24 bits of a
+word are the modulus word m, with |z|^2 = -log((m + 1) 2^-24), and bits 8
+to 31 are the phase word p, with arg z = 2 pi p 2^-24. Then conj(s_i) w_i =
+sqrt(|s_i|^2 |w_i|^2) exp(2 pi i (p_w - p_s) 2^-24), taking the integer
+difference first so one cos and one sin serve a coordinate pair. The terms
+are float32 and every sum is float64. These reports differ from those of
+the float32-normal sampler this replaced, for every seed.
 """
 
 from __future__ import annotations
@@ -22,7 +35,10 @@ from .linalg import StateVector
 
 GENERATOR_NAME = "numpy-SFC64"
 
-_CHUNK = 4096
+# Coordinate pairs per chunk: max(1, _CHUNK // n) samples at a time.
+_CHUNK = 1 << 16
+_ULP = np.float32(2.0**-24)
+_TWO_PI_ULP = np.float32(2.0 * math.pi * 2.0**-24)
 
 
 @dataclass(frozen=True)
@@ -53,25 +69,29 @@ def random_state(n: int, rng: np.random.Generator) -> StateVector:
 
 
 def _sample_x2(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m draws of x^2 for independent uniform pairs, chunked float32 path."""
+    """m draws of x^2 for independent uniform pairs, _CHUNK coordinate pairs a chunk."""
     x2 = np.empty(m, dtype=np.float64)
-    # One buffer for every chunk: the draws land in it in C order, exactly as
-    # in a fresh (4, c, n) array, without a new allocation per chunk.
-    buf = np.empty(4 * min(_CHUNK, m) * n, dtype=np.float32)
+    per_chunk = max(1, _CHUNK // n)
     done = 0
     while done < m:
-        c = min(_CHUNK, m - done)
-        z = buf[: 4 * c * n].reshape(4, c, n)
-        rng.standard_normal(dtype=np.float32, out=z)
-        a, b, cc, d = z
-        ip_re = np.einsum("ij,ij->i", a, cc) + np.einsum("ij,ij->i", b, d)
-        ip_im = np.einsum("ij,ij->i", a, d) - np.einsum("ij,ij->i", b, cc)
-        ns = np.einsum("ij,ij->i", a, a) + np.einsum("ij,ij->i", b, b)
-        nw = np.einsum("ij,ij->i", cc, cc) + np.einsum("ij,ij->i", d, d)
-        x2[done : done + c] = (
-            (ip_re.astype(np.float64) ** 2 + ip_im.astype(np.float64) ** 2)
-            / (ns.astype(np.float64) * nw.astype(np.float64))
-        )
+        c = min(per_chunk, m - done)
+        # Little-endian halves of each word, shifted to their top 24 bits:
+        # [..., 1] is bits 40-63 (modulus), [..., 0] is bits 8-31 (phase).
+        halves = rng.bit_generator.random_raw(2 * c * n).astype("<u8", copy=False).view("<u4")
+        np.right_shift(halves, 8, out=halves)
+        words = halves.view(np.int32).reshape(2, c, n, 2)
+        log_u = words[..., 1].astype(np.float32)  # log u = -|z|^2, u in (0, 1]
+        log_u += 1.0
+        log_u *= _ULP
+        np.log(log_u, out=log_u)
+        phase = np.subtract(words[1, ..., 0], words[0, ..., 0]).astype(np.float32)
+        phase *= _TWO_PI_ULP
+        amp = np.multiply(log_u[0], log_u[1])
+        np.sqrt(amp, out=amp)
+        re = np.einsum("ij,ij->i", amp, np.cos(phase), dtype=np.float64)
+        im = np.einsum("ij,ij->i", amp, np.sin(phase), dtype=np.float64)
+        norms = log_u.sum(axis=2, dtype=np.float64)  # -<s|s>, -<w|w>
+        x2[done : done + c] = (re * re + im * im) / (norms[0] * norms[1])
         done += c
     return np.minimum(x2, 1.0)
 

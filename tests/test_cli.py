@@ -328,6 +328,21 @@ def test_analog_report_is_independent_of_blas_thread_count(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_stats_report_is_independent_of_blas_thread_count(tmp_path):
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsearch.cli", "stats", "--n", "256", "--samples", "20000",
+             "--seed", "3", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_benchmark_tracer_installs_and_removes_its_wrappers(tmp_path, monkeypatch):
     # benchmark/spans.py wraps qsearch.cli names by getattr; a rename must fail here.
     spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "benchmark" / "spans.py")

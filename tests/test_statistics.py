@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qsearch import (
     overlap_statistics,
     random_state,
 )
+from qsearch.statistics import _CHUNK, _sample_x2
 
 from conftest import haar_state
 
@@ -76,6 +78,67 @@ class TestOverlapStatistics:
             overlap_statistics(0, 1000, seed=0)
         with pytest.raises(ValueError):
             overlap_statistics(4, 99, seed=0)
+
+
+def _sfc64(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.SFC64(seed))
+
+
+def _ks_statistic(x: np.ndarray, cdf) -> float:
+    """Kolmogorov-Smirnov distance between the sample x and a continuous cdf."""
+    f = cdf(np.sort(x))
+    m = len(x)
+    return float(max((np.arange(1, m + 1) / m - f).max(), (f - np.arange(m) / m).max()))
+
+
+class TestPolarSampler:
+    @pytest.mark.parametrize("n", [2, 16, 1024])
+    def test_each_sample_is_the_overlap_of_two_drawn_vectors(self, n):
+        # Rebuild s and w in complex128 from the same raw words, chunk by chunk,
+        # with plain 64-bit shifts: both vectors are drawn, coordinate by coordinate.
+        m = 300
+        x2 = _sample_x2(n, m, _sfc64(n))
+        bits = _sfc64(n).bit_generator
+        mask = np.uint64((1 << 24) - 1)
+        expected = []
+        per_chunk = max(1, _CHUNK // n)
+        while len(expected) < m:
+            c = min(per_chunk, m - len(expected))
+            words = bits.random_raw(2 * c * n).reshape(2, c, n)
+            modulus = np.sqrt(-np.log(((words >> np.uint64(40)) + 1.0) * 2.0**-24))
+            phase = 2.0 * np.pi * ((words >> np.uint64(8)) & mask) * 2.0**-24
+            s, w = modulus * np.exp(1j * phase)
+            for si, wi in zip(s, w):
+                expected.append(abs(np.vdot(si, wi)) ** 2 / (np.vdot(si, si).real * np.vdot(wi, wi).real))
+        np.testing.assert_allclose(x2, expected, rtol=1e-5, atol=0.0)
+
+    def test_dimension_two_is_uniform(self):
+        m = 100_000
+        x2 = _sample_x2(2, m, _sfc64(2))
+        assert _ks_statistic(x2, lambda x: x) < 1.63 / math.sqrt(m)
+
+    def test_dimension_sixteen_follows_its_beta_law(self):
+        # x^2 ~ Beta(1, N - 1): P(x^2 <= x) = 1 - (1 - x)^(N - 1)
+        m = 100_000
+        x2 = _sample_x2(16, m, _sfc64(16))
+        assert _ks_statistic(x2, lambda x: 1.0 - (1.0 - x) ** 15) < 1.63 / math.sqrt(m)
+
+    def test_mean_and_variance_over_seeds(self):
+        n, m = 64, 20_000
+        x2 = np.stack([_sample_x2(n, m, _sfc64(seed)) for seed in range(640, 660)])
+        z = (x2.mean(axis=1) - 1.0 / n) / (x2.std(axis=1, ddof=1) / math.sqrt(m))
+        assert abs(z.mean()) <= 4.0 / math.sqrt(len(z))
+        beta_var = (n - 1) / (n**2 * (n + 1))
+        assert abs(x2.var(ddof=1) / beta_var - 1.0) <= 0.1
+
+    def test_memory_stays_within_a_few_chunks(self):
+        tracemalloc.start()
+        try:
+            overlap_statistics(1024, 20_000, seed=13)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20
 
 
 class TestUnitaryInvariance:

@@ -22,15 +22,7 @@ from .bound import (
     evolve_trajectories,
     sum_oracle_hamiltonians,
 )
-from .errors import (
-    BasisError,
-    DegenerateOverlapError,
-    DimensionError,
-    NormalizationError,
-    NoRotationError,
-    QSearchError,
-    ScheduleError,
-)
+from .errors import QSearchError
 from .grover import (
     GroverInstance,
     GroverRun,
@@ -54,20 +46,14 @@ from .statistics import OverlapSample, overlap_statistics, random_state
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisError",
     "BoundReport",
-    "DegenerateOverlapError",
-    "DimensionError",
     "DriverSchedule",
     "GroverInstance",
     "GroverRun",
     "HermitianOperator",
-    "NoRotationError",
-    "NormalizationError",
     "OverlapSample",
     "QSearchError",
     "RankOneHamiltonian",
-    "ScheduleError",
     "StateVector",
     "TrajectorySet",
     "TwoLevelSystem",

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateOverlapError, DimensionError, NoRotationError
 from .linalg import HermitianOperator, RankOneHamiltonian, StateVector, inner_product, propagate
 
 # |<s|w>| at or above this is treated as colinear: no orthogonal complement.
@@ -72,13 +71,13 @@ def reduced_basis(s: StateVector, w: StateVector) -> tuple[float, StateVector]:
 
     r is built from the rephased s, so s' = x*w + sqrt(1-x^2)*r with all
     coefficients real. Colinear inputs (x within COLINEAR_TOL of 1) raise
-    ``DegenerateOverlapError``.
+    ``ValueError``.
     """
     if s.dim != w.dim:
-        raise DimensionError(f"dimension mismatch: {s.dim} vs {w.dim}")
+        raise ValueError(f"dimension mismatch: {s.dim} vs {w.dim}")
     x = abs(inner_product(s, w))
     if x >= 1.0 - COLINEAR_TOL:
-        raise DegenerateOverlapError(f"overlap {x!r} leaves no orthogonal component")
+        raise ValueError(f"overlap {x!r} leaves no orthogonal component")
     s_re = absorb_phase(s, w)
     r = (s_re.amps - x * w.amps) / math.sqrt(1.0 - x * x)
     return x, StateVector(r)
@@ -123,7 +122,7 @@ def success_probability(sys: TwoLevelSystem, t: float) -> float:
 def measurement_time(sys: TwoLevelSystem) -> float:
     """First time the success probability reaches one: pi / (2 E x)."""
     if sys.overlap == 0.0:
-        raise NoRotationError("zero overlap: probability stays at 0 for all t")
+        raise ValueError("zero overlap: probability stays at 0 for all t")
     return math.pi / (2.0 * sys.energy * sys.overlap)
 
 
@@ -142,7 +141,7 @@ def full_space_probability(energy: float, s: StateVector, w: StateVector, times)
     (singular G) stays exact.
     """
     if s.dim != w.dim:
-        raise DimensionError(f"dimension mismatch: {s.dim} vs {w.dim}")
+        raise ValueError(f"dimension mismatch: {s.dim} vs {w.dim}")
     g = inner_product(w, s)
     gram = np.array([[1.0, g], [g.conjugate(), 1.0]])
     coeffs = propagate(*np.linalg.eigh(energy * (gram - np.eye(2))), np.array([0.0, 1.0]), times)
@@ -158,5 +157,5 @@ def assemble_search_hamiltonian(
     holds only for equal ones.
     """
     if oracle.dim != driver.dim:
-        raise DimensionError(f"dimension mismatch: {oracle.dim} vs {driver.dim}")
+        raise ValueError(f"dimension mismatch: {oracle.dim} vs {driver.dim}")
     return HermitianOperator(oracle.matrix().mat + driver.matrix().mat)

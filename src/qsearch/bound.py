@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BasisError, DimensionError, NormalizationError, ScheduleError
+from .errors import QSearchError
 from .linalg import HermitianOperator, RankOneHamiltonian, StateVector, propagate, rank_one_eigh
 
 ORTHONORMAL_TOL = 1e-10
@@ -50,7 +50,7 @@ class DriverSchedule:
             raise ValueError("schedule needs at least one segment")
         dims = {op.dim for _, op in self.segments}
         if len(dims) != 1:
-            raise DimensionError(f"segments mix dimensions {sorted(dims)}")
+            raise ValueError(f"segments mix dimensions {sorted(dims)}")
         for dur, _ in self.segments:
             if not (math.isfinite(dur) and dur > 0.0):
                 raise ValueError(f"segment duration must be positive, got {dur}")
@@ -120,7 +120,7 @@ def build_driver(
 def _check_orthonormal(basis_rows: np.ndarray) -> None:
     gram = basis_rows.conj() @ basis_rows.T
     if float(np.max(np.abs(gram - np.eye(basis_rows.shape[0])))) > ORTHONORMAL_TOL:
-        raise BasisError("basis fails the orthonormality check")
+        raise ValueError("basis fails the orthonormality check")
 
 
 def sum_oracle_hamiltonians(
@@ -129,7 +129,7 @@ def sum_oracle_hamiltonians(
     """Sum of E|w><w| over an orthonormal basis; completeness makes it E*I."""
     rows = np.asarray([w.amps for w in basis])
     if rows.shape[0] != rows.shape[1]:
-        raise BasisError(f"need a full basis: {rows.shape[0]} vectors in dimension {rows.shape[1]}")
+        raise ValueError(f"need a full basis: {rows.shape[0]} vectors in dimension {rows.shape[1]}")
     _check_orthonormal(rows)
     return HermitianOperator(e * (rows.T @ rows.conj()))
 
@@ -170,12 +170,13 @@ def _segment_times(durations: Sequence[float], grid: np.ndarray):
 
 
 def _check_norms(cols: np.ndarray) -> None:
-    """Each column of ``cols`` (states side by side) has unit norm to 1e-9."""
+    """Each column of ``cols`` (states side by side) has unit norm to 1e-9,
+    else ``QSearchError``: the propagation failed its own check."""
     flat = cols.view(np.float64)  # real and imaginary parts side by side
     norms = np.sqrt(np.einsum("ij,ij->j", flat, flat).reshape(-1, 2).sum(axis=1))
     drift = float(np.max(np.abs(norms - 1.0)))
     if not drift <= 1e-9:  # also catches nan
-        raise NormalizationError(f"trajectory drifts in norm by {drift!r}")
+        raise QSearchError(f"trajectory drifts in norm by {drift!r}")
 
 
 def _propagate_schedule(
@@ -240,15 +241,15 @@ def evolve_trajectories(
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid times must increase strictly")
     if grid[-1] > driver.horizon + 1e-9 * max(1.0, driver.horizon):  # the summed durations round
-        raise ScheduleError(
+        raise ValueError(
             f"grid reaches {grid[-1]!r} beyond the schedule horizon {driver.horizon!r}"
         )
     n = initial.dim
     if driver.dim != n:
-        raise DimensionError(f"dimension mismatch: driver {driver.dim} vs state {n}")
+        raise ValueError(f"dimension mismatch: driver {driver.dim} vs state {n}")
     rows = np.asarray([w.amps for w in oracle_basis])
     if rows.shape != (n, n):
-        raise BasisError(f"need a full oracle basis of shape ({n}, {n}), got {rows.shape}")
+        raise ValueError(f"need a full oracle basis of shape ({n}, {n}), got {rows.shape}")
     _check_orthonormal(rows)
 
     distance = np.zeros((n, grid.shape[0]))

@@ -3,11 +3,13 @@
 Four subcommands (``analog``, ``grover``, ``bound``, ``stats``) run the four
 experiment families and emit a self-describing report (JSON schema "v1" or
 CSV with comment headers) embedding the config, seed, tool version and all
-derived constants, so downstream plotting needs no side channel. Exit codes:
-0 pass, 1 numerical-check failure, 2 usage error (a flag out of range, a
-library refusal of the flags, or arithmetic beyond the range of a double).
-Every command is deterministic given its full flag set, and reruns at a
-fixed BLAS thread count produce byte-identical files.
+derived constants, so downstream plotting needs no side channel. ``main``
+alone picks the exit code: 1 when the report's ``summary.pass`` is false or a
+computation's check of its own result raised ``QSearchError``; 2 for a usage
+error (a flag out of range, a library ``ValueError`` refusing the flags, or
+arithmetic beyond the range of a double); 0 otherwise. Every command is
+deterministic given its full flag set, and reruns at a fixed BLAS thread
+count produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -53,8 +55,9 @@ GROVER_PASS_TOL = 1e-9
 # its N stays within the design envelope for direct eigendecomposition.
 MAX_DENSE_DIM = 4096
 
-# Each command checks its byte estimate (``_estimated_bytes``) against this
-# share of physical memory first, and a time grid checks its report rows.
+# main checks each command's byte estimate (``_estimated_bytes``) against this
+# share of physical memory before it runs; a command with a time grid checks
+# that estimate plus the grid's bytes once the grid is known.
 MEMORY_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
 
 # Largest time grid a command builds: 10^4 times the default 1001 points.
@@ -108,20 +111,10 @@ def _positive_float(hi: float = math.inf):
     return parse
 
 
-def _check_index(parser: argparse.ArgumentParser, flag: str, value: str, n: int, words: tuple) -> None:
-    """Cross-flag rule: ``value`` is one of ``words`` or a basis index below --n."""
-    try:
-        ok = value in words or 0 <= int(value) < n
-    except ValueError:
-        ok = False
-    if not ok:
-        parser.error(f"argument {flag}: expected {'/'.join(words)} or an index below --n {n}, got {value!r}")
-
-
 def _estimated_bytes(command: str, cfg: argparse.Namespace) -> int:
-    """Peak bytes a command allocates, from peak-RSS slopes measured with
-    numpy 2.4 on CPython 3.11. Integer arithmetic, so any --n gives an
-    estimate; bound's grid is a usage error first if it is too large."""
+    """Peak bytes a command allocates apart from its time grid, from peak-RSS
+    slopes measured with numpy 2.4 on CPython 3.11. Integer arithmetic, so
+    any --n gives an estimate."""
     if command == "analog":
         # s and w as arrays, as lists of float pairs and as JSON text
         return 1100 * cfg.n
@@ -132,14 +125,10 @@ def _estimated_bytes(command: str, cfg: argparse.Namespace) -> int:
     if command == "bound":
         # per segment its N x N operator and 0.6 kB of objects; 200 bytes per N x N
         # entry for building an operator, the driver's eigensystem, the oracle basis
-        # and the hand-off states; one batch of rank-one updates; per grid point
-        # N distances and, while an oracle is reduced, 3 rows of N amplitudes (its
-        # states, the reference's and the phase table), and its report row
+        # and the hand-off states; one batch of rank-one updates
         segments = cfg.segments if cfg.driver == "piecewise" else 1
-        _, horizon, dt = _bound_times(cfg)
         return ((24 * cfg.n**2 + 600) * segments + 200 * cfg.n**2
-                + 128 * min(cfg.n**3, ORACLE_BATCH_ELEMENTS)
-                + (56 * cfg.n + REPORT_ROW_BYTES) * _grid_points(dt, horizon))
+                + 128 * min(cfg.n**3, ORACLE_BATCH_ELEMENTS))
     # stats: 60 bytes per coordinate pair of one chunk (two raw words and the
     # float32 terms) of up to _CHUNK pairs, or one sample if n is larger; then
     # a few float64 arrays of one entry per sample
@@ -197,9 +186,11 @@ def _payload_skeleton(command: str, cfg: argparse.Namespace) -> dict:
     return {"schema": SCHEMA, "version": __version__, "command": command, "config": dict(vars(cfg))}
 
 
-def _grid_points(dt: float, horizon: float) -> int:
-    """Points of the uniform grid over [0, horizon] at step dt; a usage error when
-    it would need more than MAX_GRID_STEPS steps or its report rows more than MEMORY_BUDGET."""
+def _time_grid(dt: float, horizon: float, run_bytes: int, point_bytes: int = REPORT_ROW_BYTES) -> np.ndarray:
+    """The uniform grid over [0, horizon] at step dt. A usage error when it would
+    need more than MAX_GRID_STEPS steps, or more than MEMORY_BUDGET bytes for its
+    report rows alone or for the run_bytes of the rest of the run plus
+    point_bytes per point."""
     # The defaults derive from --energy and can overflow or underflow to 0.
     steps = horizon / dt if dt > 0.0 else math.inf
     if not steps <= MAX_GRID_STEPS:  # also rejects inf and nan
@@ -209,16 +200,11 @@ def _grid_points(dt: float, horizon: float) -> int:
         )
     points = max(1, int(round(steps))) + 1
     _check_budget(points * REPORT_ROW_BYTES, f"the time grid (from --energy/--horizon/--dt) of {points} points")
-    return points
+    _check_budget(run_bytes + points * point_bytes, "this run")
+    return np.linspace(0.0, horizon, points)
 
 
-def _bound_times(cfg: argparse.Namespace) -> tuple[float, float, float]:
-    """bound's t_m equivalent, and its horizon and step defaulted from it."""
-    t_m_equiv = math.pi * math.sqrt(cfg.n) / (2.0 * cfg.energy)
-    return t_m_equiv, cfg.horizon or 2.0 * t_m_equiv, cfg.dt or t_m_equiv / 500.0
-
-
-def cmd_analog(cfg: argparse.Namespace) -> tuple[int, dict]:
+def cmd_analog(cfg: argparse.Namespace) -> dict:
     n, e = cfg.n, cfg.energy
     s = StateVector.uniform(n)
     rng = np.random.default_rng(cfg.seed)
@@ -240,7 +226,7 @@ def cmd_analog(cfg: argparse.Namespace) -> tuple[int, dict]:
         raise ValueError(f"the largest phase --energy * (1 + x) * horizon = {e:g} * {1.0 + system.overlap:g} "
                          f"* {horizon:g} is beyond double precision: its last bit exceeds the pass "
                          f"tolerance {ANALOG_PASS_TOL:g}")
-    grid = np.linspace(0.0, horizon, _grid_points(dt, horizon))
+    grid = _time_grid(dt, horizon, _estimated_bytes("analog", cfg))
 
     p_full = full_space_probability(e, s, w, grid)
     p_closed = np.array([success_probability(system, t) for t in grid])
@@ -266,10 +252,10 @@ def cmd_analog(cfg: argparse.Namespace) -> tuple[int, dict]:
             for t, pc, pf, d in zip(grid, p_closed, p_full, deviation)
         ],
     }
-    return (0 if max_dev < ANALOG_PASS_TOL else 1), payload
+    return payload
 
 
-def cmd_grover(cfg: argparse.Namespace) -> tuple[int, dict]:
+def cmd_grover(cfg: argparse.Namespace) -> dict:
     n = cfg.n
     rng = np.random.default_rng(cfg.seed)
     marked = int(rng.integers(n)) if cfg.marked == "random" else int(cfg.marked)
@@ -307,17 +293,21 @@ def cmd_grover(cfg: argparse.Namespace) -> tuple[int, dict]:
             for j in range(k + 1)
         ],
     }
-    return (0 if max_dev < GROVER_PASS_TOL else 1), payload
+    return payload
 
 
-def cmd_bound(cfg: argparse.Namespace) -> tuple[int, dict]:
+def cmd_bound(cfg: argparse.Namespace) -> dict:
     n, e = cfg.n, cfg.energy
-    t_m_equiv, horizon, dt = _bound_times(cfg)
+    t_m_equiv = math.pi * math.sqrt(n) / (2.0 * e)
+    horizon = cfg.horizon or 2.0 * t_m_equiv
+    # per grid point N distances and, while an oracle is reduced, 3 rows of N
+    # amplitudes (its states, the reference's and the phase table), and its report row
+    grid = _time_grid(cfg.dt or t_m_equiv / 500.0, horizon, _estimated_bytes("bound", cfg),
+                      56 * n + REPORT_ROW_BYTES)
     # No eigenvalue exceeds E * (mult + 1): past a double, a phase is inf and a state nan.
     if not math.isfinite(e * (cfg.driver_norm_mult + 1.0) * horizon):
         raise ValueError(f"the largest phase --energy * (--driver-norm-mult + 1) * horizon = "
                          f"{e:g} * ({cfg.driver_norm_mult:g} + 1) * {horizon:g} overflows")
-    grid = np.linspace(0.0, horizon, _grid_points(dt, horizon))
 
     rng = np.random.default_rng(cfg.seed)
     driver = build_driver(cfg.driver, n, e, cfg.driver_norm_mult, horizon, rng, cfg.segments)
@@ -363,10 +353,10 @@ def cmd_bound(cfg: argparse.Namespace) -> tuple[int, dict]:
             for j in range(grid.shape[0])
         ],
     }
-    return (0 if report.bound_satisfied else 1), payload
+    return payload
 
 
-def cmd_stats(cfg: argparse.Namespace) -> tuple[int, dict]:
+def cmd_stats(cfg: argparse.Namespace) -> dict:
     sample = overlap_statistics(cfg.n, cfg.samples, cfg.seed)
     target = 1.0 / cfg.n
     ok = abs(sample.mean_x2 - target) <= 4.0 * sample.stderr_x2
@@ -384,7 +374,7 @@ def cmd_stats(cfg: argparse.Namespace) -> tuple[int, dict]:
         "columns": ["n", "num_samples", "mean_x2", "stderr_x2", "mean_x", "seed"],
         "rows": [[sample.n, sample.num_samples, sample.mean_x2, sample.stderr_x2, sample.mean_x, sample.seed]],
     }
-    return (0 if ok else 1), payload
+    return payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,16 +437,12 @@ def main(argv: list[str] | None = None) -> int:
         "stats": (cmd_stats, ("n", "samples", "seed")),
     }
     runner, fields = commands[args.command]
-    if args.command == "analog":
-        _check_index(parser, "--w", args.w, args.n, ("random", "s"))
-    elif args.command == "grover":
-        _check_index(parser, "--marked", args.marked, args.n, ("random",))
     cfg = argparse.Namespace(**{name: getattr(args, name) for name in fields})
     beyond = "the flags ask for numbers beyond the range of a double"
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             _check_budget(_estimated_bytes(args.command, cfg), "this run")
-            code, payload = runner(cfg)
+            payload = runner(cfg)
     except QSearchError as exc:
         print(f"qsearch {args.command}: {exc}", file=sys.stderr)
         return 1
@@ -466,10 +452,10 @@ def main(argv: list[str] | None = None) -> int:
     if bad is not None:  # Python floats overflow to inf without raising
         parser.error(f"the report's {bad} is not finite: {beyond}")
     _write_report(payload, args.out, args.fmt)
-    if code != 0:
-        checks = payload.get("summary", {})
-        print(f"qsearch {args.command}: numerical check failed: {checks}", file=sys.stderr)
-    return code
+    if not payload["summary"]["pass"]:
+        print(f"qsearch {args.command}: numerical check failed: {payload['summary']}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,29 +1,10 @@
-"""Exception types shared across the package."""
+"""The package's one exception type.
+
+Arguments a function or constructor refuses raise a plain ``ValueError``.
+``QSearchError`` is raised only when a computation's check of its own result
+fails, so the CLI maps it, and only it, to exit code 1.
+"""
 
 
-class QSearchError(ValueError):
-    """Base class for all qsearch domain errors."""
-
-
-class DimensionError(QSearchError):
-    """Operands have incompatible dimensions."""
-
-
-class NormalizationError(QSearchError):
-    """A vector is too far from unit norm to be accepted or repaired."""
-
-
-class DegenerateOverlapError(QSearchError):
-    """The two states are colinear, so the orthogonal complement is empty."""
-
-
-class NoRotationError(QSearchError):
-    """Zero overlap: the drive never transfers amplitude to the target."""
-
-
-class BasisError(QSearchError):
-    """A purported orthonormal basis fails the orthonormality check."""
-
-
-class ScheduleError(QSearchError):
-    """The requested time grid extends beyond the driver schedule horizon."""
+class QSearchError(Exception):
+    """A computation's check of its own result failed (say, norm drift)."""

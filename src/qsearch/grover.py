@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NormalizationError
+from .errors import QSearchError
 from .linalg import NORM_TOL, StateVector
 
 US_DENSE_MAX_DIM = 64
@@ -37,7 +37,7 @@ class GroverInstance:
 
     def __post_init__(self):
         if self.dim < 2:
-            raise DimensionError(f"dim must be >= 2, got {self.dim}")
+            raise ValueError(f"dim must be >= 2, got {self.dim}")
         if not 0 <= self.marked < self.dim:
             raise ValueError(f"marked index {self.marked} out of range for dim {self.dim}")
 
@@ -77,7 +77,7 @@ def _reflect_about_mean(a: np.ndarray, out: np.ndarray) -> np.ndarray:
 def apply_uf(inst: GroverInstance, v: StateVector) -> StateVector:
     """Flip the sign of the marked amplitude: (1 - 2|w><w|) v, exactly."""
     if v.dim != inst.dim:
-        raise DimensionError(f"dimension mismatch: {v.dim} vs {inst.dim}")
+        raise ValueError(f"dimension mismatch: {v.dim} vs {inst.dim}")
     amps = v.amps.copy()
     _flip(amps, inst.marked)
     return StateVector(amps)
@@ -91,7 +91,7 @@ def apply_us(v: StateVector) -> StateVector:
 def us_matrix(n: int) -> np.ndarray:
     """Dense reference for apply_us, capped at small N for testing."""
     if n > US_DENSE_MAX_DIM:
-        raise DimensionError(f"dense path limited to dim <= {US_DENSE_MAX_DIM}, got {n}")
+        raise ValueError(f"dense path limited to dim <= {US_DENSE_MAX_DIM}, got {n}")
     return (2.0 / n) * np.ones((n, n), dtype=np.complex128) - np.eye(n, dtype=np.complex128)
 
 
@@ -102,7 +102,7 @@ def rotation_angle(n: int) -> float:
     without the precision loss of acos(1 - 2/N) for large N.
     """
     if n < 2:
-        raise DimensionError(f"dim must be >= 2, got {n}")
+        raise ValueError(f"dim must be >= 2, got {n}")
     return 2.0 * math.atan2(1.0, math.sqrt(n - 1.0))
 
 
@@ -121,7 +121,7 @@ def reduced_step_matrix(n: int) -> np.ndarray:
 def reduced_initial_state(n: int) -> np.ndarray:
     """Uniform superposition in (|w>, |r>) coordinates."""
     if n < 2:
-        raise DimensionError(f"dim must be >= 2, got {n}")
+        raise ValueError(f"dim must be >= 2, got {n}")
     return np.array([1.0 / math.sqrt(n), math.sqrt(1.0 - 1.0 / n)], dtype=np.float64)
 
 
@@ -143,7 +143,7 @@ def run_grover(inst: GroverInstance, k: int) -> GroverRun:
     are real), so a run holds 8 N bytes of state. Every step still takes the
     mean over the full N-vector; the two reduced coordinates are never used,
     so the result stays an independent check of ``reduced_probability``. The
-    norm is checked once, after the last step.
+    norm is checked once, after the last step (else ``QSearchError``).
     """
     if k < 0:
         raise ValueError(f"iteration count must be >= 0, got {k}")
@@ -156,7 +156,7 @@ def run_grover(inst: GroverInstance, k: int) -> GroverRun:
         probs[j] = min(amps[inst.marked] ** 2, 1.0)
     nrm = np.linalg.norm(amps)
     if not abs(nrm - 1.0) <= NORM_TOL:  # also rejects nan
-        raise NormalizationError(f"grover iterate drifted to norm {nrm!r}")
+        raise QSearchError(f"grover iterate drifted to norm {nrm!r}")
     return GroverRun(instance=inst, iterations=k, probabilities=probs, oracle_calls=2 * k)
 
 

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NormalizationError
-
 # StateVector rejects a norm further than this from 1; it never rescales.
 NORM_TOL = 1e-6
 
@@ -35,11 +33,11 @@ SECULAR_MAX_STEPS = 100
 class StateVector:
     """Normalized complex amplitude vector.
 
-    The input is copied and stored unchanged. It must be 1-d and non-empty
-    (else ``DimensionError``) with a norm within ``NORM_TOL`` of 1 (else
-    ``NormalizationError``); it is never rescaled, so a state built by an
-    exact operation (a sign flip, ``uniform``) keeps every bit, and a caller
-    with an unnormalized vector divides by its norm itself.
+    The input is copied and stored unchanged. It must be 1-d and non-empty,
+    with a norm within ``NORM_TOL`` of 1 (else ``ValueError``); it is never
+    rescaled, so a state built by an exact operation (a sign flip,
+    ``uniform``) keeps every bit, and a caller with an unnormalized vector
+    divides by its norm itself.
     """
 
     amps: np.ndarray
@@ -47,10 +45,10 @@ class StateVector:
     def __post_init__(self):
         arr = np.array(self.amps, dtype=np.complex128)
         if arr.ndim != 1 or arr.size < 1:
-            raise DimensionError(f"state vector must be 1-d and non-empty, got shape {arr.shape}")
+            raise ValueError(f"state vector must be 1-d and non-empty, got shape {arr.shape}")
         nrm = np.linalg.norm(arr)
         if not abs(nrm - 1.0) <= NORM_TOL:  # also rejects nan
-            raise NormalizationError(f"norm {nrm!r} is not within {NORM_TOL} of 1")
+            raise ValueError(f"norm {nrm!r} is not within {NORM_TOL} of 1")
         arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
 
@@ -58,7 +56,7 @@ class StateVector:
     def basis_state(cls, n: int, i: int) -> "StateVector":
         """Standard basis vector e_i in dimension n."""
         if not 0 <= i < n:
-            raise DimensionError(f"basis index {i} out of range for dimension {n}")
+            raise ValueError(f"basis index {i} out of range for dimension {n}")
         arr = np.zeros(n, dtype=np.complex128)
         arr[i] = 1.0
         return cls(arr)
@@ -82,7 +80,7 @@ class StateVector:
 def inner_product(a: StateVector, b: StateVector) -> complex:
     """<a|b> with conjugation on the first argument."""
     if a.dim != b.dim:
-        raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return complex(np.vdot(a.amps, b.amps))
 
 
@@ -91,9 +89,9 @@ class HermitianOperator:
     """N x N complex matrix, Hermitian within ``HERMITICITY_TOL``.
 
     The input is copied and stored unchanged. It must be square and
-    non-empty (else ``DimensionError``) and deviate from its conjugate
-    transpose by at most ``HERMITICITY_TOL`` relative to its largest entry
-    (else ``ValueError``, which nan and inf entries also raise). It is not
+    non-empty and deviate from its conjugate transpose by at most
+    ``HERMITICITY_TOL`` relative to its largest entry (else ``ValueError``,
+    which nan and inf entries also raise). It is not
     symmetrized: everything in this package that computes with ``mat``
     passes it to ``np.linalg.eigh``, which reads only the lower triangle and
     the real part of the diagonal.
@@ -104,7 +102,7 @@ class HermitianOperator:
     def __post_init__(self):
         m = np.array(self.mat, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise DimensionError(f"operator must be square, got shape {m.shape}")
+            raise ValueError(f"operator must be square, got shape {m.shape}")
         scale = max(1.0, float(np.max(np.abs(m))))
         if not float(np.max(np.abs(m - m.conj().T))) <= HERMITICITY_TOL * scale:  # also nan, inf
             raise ValueError("matrix is not Hermitian within tolerance")
@@ -359,7 +357,7 @@ def propagate(
 def expm_apply(h: HermitianOperator, t: float, v: StateVector) -> StateVector:
     """exp(-i h t) |v>: ``propagate`` at the single time t, with checks."""
     if h.dim != v.dim:
-        raise DimensionError(f"dimension mismatch: {h.dim} vs {v.dim}")
+        raise ValueError(f"dimension mismatch: {h.dim} vs {v.dim}")
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
     return StateVector(propagate(*np.linalg.eigh(h.mat), v.amps, [t])[0])

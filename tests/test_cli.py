@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsearch.bound
 import qsearch.cli as cli
+import qsearch.grover
 from qsearch.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -255,9 +257,9 @@ def argvs(draw):
         for flag in ("--energy", "--dt", "--horizon"):
             maybe(flag, FUZZ_FLOATS)
     if command == "analog":
-        maybe("--w", st.sampled_from(["random", "s", "0", "3"]))
+        maybe("--w", st.sampled_from(["random", "s", "0", "3", "9", "-1", "abc"]))
     elif command == "grover":
-        maybe("--marked", st.sampled_from(["random", "0", "5"]))
+        maybe("--marked", st.sampled_from(["random", "0", "5", "99", "-1", "x"]))
         maybe("--iterations", st.integers(0, 20))
     elif command == "bound":
         maybe("--driver", st.sampled_from(["paper", "zero", "random-dense", "piecewise"]))
@@ -303,6 +305,58 @@ def test_time_grid_rows_count_against_the_memory_budget(command, monkeypatch, ca
         main([command, "--n", "4", "--dt", "1e-5", "--horizon", "1", "--out", os.devnull])
     assert exc.value.code == 2
     assert "the time grid (from --energy/--horizon/--dt) of 100001 points" in capsys.readouterr().err
+
+
+def test_analog_counts_its_n_part_and_grid_rows_against_one_budget(monkeypatch, capsys):
+    # Each part fits a 16 MiB budget alone: 1100 N bytes are 15.7 MiB, and the
+    # 13,891 report rows of the grid 15.9 MiB. Together they do not.
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", 16 << 20)
+    with pytest.raises(SystemExit) as exc:
+        main(["analog", "--n", "15000", "--dt", "0.0277", "--out", os.devnull])
+    assert exc.value.code == 2
+    assert "this run needs about 31 MiB, more than the 16 MiB budget" in capsys.readouterr().err
+
+
+def _assert_exit_1_without_report(argv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"qsearch {argv[0]}:")
+    assert not out.exists()
+
+
+def test_bound_norm_drift_exits_1(tmp_path, monkeypatch, capsys):
+    propagate = qsearch.bound.propagate
+
+    def drifting(*args, **kwargs):
+        rows = propagate(*args, **kwargs)
+        rows *= 1.0 + 1e-6  # in place, so a caller's ``out`` drifts too
+        return rows
+
+    monkeypatch.setattr(qsearch.bound, "propagate", drifting)
+    _assert_exit_1_without_report(["bound", "--n", "4"], tmp_path, capsys)
+
+
+def test_grover_norm_drift_exits_1(tmp_path, monkeypatch, capsys):
+    reflect = qsearch.grover._reflect_about_mean
+
+    def drifting(a, out):
+        return np.multiply(reflect(a, out), 1.0 + 1e-6, out=out)
+
+    monkeypatch.setattr(qsearch.grover, "_reflect_about_mean", drifting)
+    # k* = 6 steps drift the norm by 6e-6, past NORM_TOL
+    _assert_exit_1_without_report(["grover", "--n", "64"], tmp_path, capsys)
+
+
+def test_failed_report_check_exits_1_and_writes_the_report(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "GROVER_PASS_TOL", 0.0)
+    code, rep = run_cli(["grover", "--n", "64"], tmp_path)
+    assert code == 1
+    assert rep["summary"]["pass"] is False
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("qsearch grover: numerical check failed:")
 
 
 def test_grid_error_names_the_flags_it_derives_from(capsys):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsearch import (
-    DimensionError,
     GroverInstance,
     GroverRun,
     StateVector,
@@ -44,7 +43,7 @@ class TestApplyUf:
             assert np.array_equal(apply_uf(inst, apply_uf(inst, v)).amps, v.amps)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match="dimension mismatch: 3 vs 4"):
             apply_uf(GroverInstance(4, 0), StateVector.uniform(3))
 
 
@@ -71,7 +70,7 @@ class TestApplyUs:
             assert np.max(np.abs(apply_us(v).amps - dense)) < 1e-14
 
     def test_dense_reference_is_capped(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match="dense path limited to dim <= 64"):
             us_matrix(65)
 
     @pytest.mark.xfail(

@@ -95,6 +95,22 @@ def _int_at_least(lo: int, hi: int | None = None):
     return parse
 
 
+def _index_or(*words: str):
+    """argparse type: an integer index or one of ``words``, kept as its text."""
+
+    def parse(text: str) -> str:
+        if text not in words:
+            try:
+                int(text)
+            except ValueError:
+                *head, last = ["a basis index", *(repr(word) for word in words)]
+                raise argparse.ArgumentTypeError(
+                    f"expected {', '.join(head)} or {last}, got {text!r}") from None
+        return text
+
+    return parse
+
+
 def _positive_float(hi: float = math.inf):
     """argparse type: a finite float in (0, hi]."""
 
@@ -125,7 +141,8 @@ def _estimated_bytes(command: str, cfg: argparse.Namespace) -> int:
     if command == "bound":
         # per segment its N x N operator and 0.6 kB of objects; 200 bytes per N x N
         # entry for building an operator, the driver's eigensystem, the oracle basis
-        # and the hand-off states; one batch of rank-one updates
+        # and the hand-off states; one batch of rank-one updates (measured: 175-190
+        # bytes per N x N entry in all at N = 512, 48 per batch entry)
         segments = cfg.segments if cfg.driver == "piecewise" else 1
         return ((24 * cfg.n**2 + 600) * segments + 200 * cfg.n**2
                 + 128 * min(cfg.n**3, ORACLE_BATCH_ELEMENTS))
@@ -300,8 +317,9 @@ def cmd_bound(cfg: argparse.Namespace) -> dict:
     n, e = cfg.n, cfg.energy
     t_m_equiv = math.pi * math.sqrt(n) / (2.0 * e)
     horizon = cfg.horizon or 2.0 * t_m_equiv
-    # per grid point N distances and, while an oracle is reduced, 3 rows of N
-    # amplitudes (its states, the reference's and the phase table), and its report row
+    # per grid point N distances and the reference's N amplitudes and, up to a
+    # time block of bound.TIME_BLOCK_ELEMENTS / N points, an oracle's phase table and
+    # states (measured: 56.0-56.2 N bytes below a block, 24.4 N above), and its report row
     grid = _time_grid(cfg.dt or t_m_equiv / 500.0, horizon, _estimated_bytes("bound", cfg),
                       56 * n + REPORT_ROW_BYTES)
     # No eigenvalue exceeds E * (mult + 1): past a double, a phase is inf and a state nan.
@@ -397,13 +415,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analog", help="closed-form vs full-space rank-one search dynamics")
     common(p, _int_at_least(2))
     p.add_argument("--energy", type=positive, default=1.0)
-    p.add_argument("--w", default="0", help="marked state: basis index, 'random', or 's' (colinear)")
+    p.add_argument("--w", type=_index_or("random", "s"), default="0",
+                   help="marked state: basis index, 'random', or 's' (colinear)")
     p.add_argument("--dt", type=positive, default=None, help="grid spacing (default t_m/500)")
     p.add_argument("--horizon", type=positive, default=None, help="grid end (default 2*t_m)")
 
     p = sub.add_parser("grover", help="digital iteration vs reduced rotation prediction")
     common(p, _int_at_least(2))
-    p.add_argument("--marked", default="0", help="marked index or 'random'")
+    p.add_argument("--marked", type=_index_or("random"), default="0", help="marked index or 'random'")
     p.add_argument("--iterations", type=_int_at_least(0), default=None, help="steps to run (default k*)")
 
     p = sub.add_parser("bound", help="divergence growth bound under a chosen driver")

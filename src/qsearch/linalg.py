@@ -1,7 +1,7 @@
 """Dense complex linear algebra substrate: normalized state vectors,
 Hermitian operators, rank-one Hamiltonians, eigendecomposition, the
-rank-one update of an eigensystem and the package's one eigenbasis
-propagator.
+rank-one update of an eigensystem, the phase table exp(-i lam t) c and the
+eigenbasis propagator built on it.
 
 The value types check their input and store a write-locked copy of it
 unchanged: nothing is rescaled or symmetrized on the way in. All values are
@@ -152,11 +152,15 @@ def eigendecompose(h: HermitianOperator) -> tuple[np.ndarray, list[StateVector]]
     return evals, [StateVector(vecs[:, i]) for i in range(h.dim)]
 
 
-def rank_one_eigh(evals: np.ndarray, u: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+def rank_one_eigh(
+    evals: np.ndarray, u: np.ndarray, rho: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigensystems of diag(evals) + rho u_b u_b^dagger for each row u_b of a
-    stack ``u`` of shape (B, N), in the form ``np.linalg.eigh`` gives them:
-    ascending eigenvalues (B, N) and the unitaries (B, N, N) whose columns
-    are eigenvectors.
+    stack ``u`` of shape (B, N), as ``(mu, phase, q)``: ascending eigenvalues
+    (B, N), the unit phases (B, N) of u and real orthogonal matrices (B, N, N),
+    each ``q[b]`` C-contiguous, such that diag(phase_b) q_b is a unitary
+    whose columns are eigenvectors. A caller can so work with the real q_b in
+    the basis rephased by phase_b.
 
     ``evals`` is real and ascending and ``rho`` >= 0; a 1-d ``u`` or a
     negative ``rho`` raises ``ValueError``. The stack shares one deflation
@@ -214,7 +218,7 @@ def rank_one_eigh(evals: np.ndarray, u: np.ndarray, rho: float) -> tuple[np.ndar
     keep = r[:, None] * z > tol
     if keep.all():  # no deflation, no reflection, and the roots come sorted
         mu, q = _secular_roots(np.broadcast_to(d, (batch, n)), r[:, None] * z * z)
-        return np.ldexp(mu, shift), phase[:, :, None] * q
+        return np.ldexp(mu, shift), phase, np.ascontiguousarray(q)
     count = np.sum(keep, axis=1)
     vals = np.empty((batch, n))
     q = np.zeros((batch, n, n))
@@ -233,7 +237,7 @@ def rank_one_eigh(evals: np.ndarray, u: np.ndarray, rho: float) -> tuple[np.ndar
     q = np.take_along_axis(q, order[:, None, :], axis=2)
     for lo, hi, v, beta in reflections:
         q[:, lo:hi] -= (beta[:, None] * v)[:, :, None] * np.einsum("bm,bmn->bn", v, q[:, lo:hi])[:, None, :]
-    return np.ldexp(np.take_along_axis(vals, order, axis=1), shift), phase[:, :, None] * q
+    return np.ldexp(np.take_along_axis(vals, order, axis=1), shift), phase, q
 
 
 def _secular_roots(d: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -327,31 +331,36 @@ def _model_root(c, dp, dq, wp, wq, lo, hi):
                     np.where((big > lo) & (big < hi), big, 0.5 * (lo + hi)))
 
 
-def propagate(
-    evals: np.ndarray, vecs: np.ndarray, psi: np.ndarray, times, out: np.ndarray | None = None
-) -> np.ndarray:
+def propagate(evals: np.ndarray, vecs: np.ndarray, psi: np.ndarray, times) -> np.ndarray:
     """Rows exp(-i H t) psi, one per entry of ``times``, for H = vecs diag(evals) vecs^dagger.
 
     ``evals`` and ``vecs`` are an orthonormal eigensystem, as
-    ``np.linalg.eigh(mat)`` or ``rank_one_eigh`` give it, and ``times`` any
-    real 1-d sequence (negative t evolves backward). Every row comes from the
-    same eigensystem, so the result is exact up to its error; rows keep unit
-    norm to ~1e-15 and are not renormalized. Cost: the N x len(times) phase
-    table and one N x N by N x len(times) product. The result is the
-    transpose of that C-ordered product, written into ``out`` (N x
-    len(times)) when one is given, so that a caller propagating many states
-    can keep one buffer.
+    ``np.linalg.eigh(mat)`` gives it, and ``times`` any real 1-d sequence
+    (negative t evolves backward). Every row comes from the same eigensystem,
+    so the result is exact up to its error; rows keep unit norm to ~1e-15 and
+    are not renormalized. Cost: the N x len(times) phase table and one
+    N x N by N x len(times) product, whose C-ordered result is returned
+    transposed.
     """
     coeffs = vecs.conj().T @ psi
-    # exp(-i theta) for theta = evals x times, built in one complex buffer: theta goes
-    # in the imaginary part, then cos and sin; the same bits as np.exp(-1j * theta), faster
-    phases = np.empty((len(evals), len(times)), dtype=np.complex128)
-    np.multiply.outer(evals, times, out=phases.imag)
-    np.cos(phases.imag, out=phases.real)
-    np.sin(phases.imag, out=phases.imag)
-    np.negative(phases.imag, out=phases.imag)
-    phases *= coeffs[:, None]
-    return np.matmul(vecs, phases, out=out).T
+    return (vecs @ _phase_table(evals, np.asarray(times, dtype=np.float64), coeffs)).T
+
+
+def _phase_table(lam: np.ndarray, times: np.ndarray, c: np.ndarray | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The N x len(times) table exp(-i lam_k t_j) c_k (c = 1 when None), in
+    ``out`` when one is given."""
+    # theta = lam x times goes in the imaginary part of one complex buffer, then
+    # cos and sin: the same bits as np.exp(-1j * theta), faster
+    table = np.empty((lam.shape[0], times.shape[0]), dtype=np.complex128) if out is None else out
+    theta = table.imag
+    np.multiply.outer(lam, times, out=theta)
+    np.cos(theta, out=table.real)
+    np.sin(theta, out=theta)
+    np.negative(theta, out=theta)
+    if c is not None:
+        table *= c[:, None]
+    return table
 
 
 def expm_apply(h: HermitianOperator, t: float, v: StateVector) -> StateVector:

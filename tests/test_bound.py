@@ -18,7 +18,17 @@ from qsearch import (
 )
 
 from qsearch.analog import evolve_closed_form
-from qsearch.bound import _propagate_schedule, build_driver, oracle_trajectory
+from qsearch.bound import (
+    MIN_FACTORED_BLOCKS,
+    PHASE_BLOCK,
+    UNIFORM_ULPS,
+    _propagate_schedule,
+    _segment_times,
+    _SegmentPhases,
+    build_driver,
+    oracle_trajectory,
+)
+from qsearch.linalg import _phase_table
 
 from conftest import haar_state, random_hermitian
 
@@ -204,6 +214,95 @@ class TestRankOneUpdatePath:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         evolve_trajectories(1.0, standard_basis(n), driver, StateVector.uniform(n), uniform_grid(5.0, 50))
         assert len(count) == calls
+
+
+class TestKernelAtBenchmarkSize:
+    """The per-oracle kernel at the N and grid the benchmark runs (1001 points
+    to 2 t_m), where the factored phase table and the time blocks are in use:
+    oracle 0 and one other against the dense per-oracle eigh."""
+
+    @pytest.mark.parametrize("n, family, other", [(128, "random-dense", 77), (64, "piecewise", 41)])
+    def test_matches_dense_per_oracle_eigh(self, n, family, other):
+        e, horizon = 1.0, math.pi * math.sqrt(n)
+        driver = build_driver(family, n, e, 1.0, horizon, np.random.default_rng(5), segments=10)
+        s, grid = StateVector.uniform(n), uniform_grid(horizon, 1000)
+        traj = evolve_trajectories(e, standard_basis(n), driver, s, grid)
+        reference = _propagate_schedule(
+            [(dur, *np.linalg.eigh(op.mat)) for dur, op in driver.segments], s.amps, grid
+        )
+        for w in (0, other):
+            block = oracle_trajectory(e, StateVector.basis_state(n, w).amps, driver, s.amps, grid)
+            distance = np.sum(np.abs(block - reference) ** 2, axis=1)
+            assert np.max(np.abs(traj.distance[w] - distance)) <= 1e-12
+
+
+def segment_phases(points, durations):
+    """Each segment of a grid of ``points`` over the durations, as the kernel
+    sees it."""
+    grid = np.linspace(0.0, sum(durations), points)
+    return [_SegmentPhases(times) for _, _, times in _segment_times(durations, grid)]
+
+
+class TestSegmentPhases:
+    """The factored phase table against the direct cos/sin table. Per entry of
+    unit-size c it may differ by B + 4 roundings, from the powers
+    exp(-i lam dt)^b and the products, plus the phase of the UNIFORM_ULPS ulps
+    by which the points may leave an even spacing."""
+
+    @staticmethod
+    def spectrum(n):
+        rng = np.random.default_rng(n)
+        lam = np.sort(rng.uniform(-2.0, 2.0, n))
+        c = np.exp(2j * np.pi * rng.random(n)) / math.sqrt(n)
+        return lam, c
+
+    def assert_factored_matches_direct(self, phases, lam, c):
+        assert phases.factored
+        direct = _phase_table(lam, phases.points, c)
+        eps = np.finfo(np.float64).eps
+        tol = (PHASE_BLOCK + 4) * eps + UNIFORM_ULPS * eps * np.max(np.abs(lam)) * phases.points[-1]
+        m = phases.points.shape[0]
+        assert np.max(np.abs(phases.table(lam, c, 0, m) - direct)) <= tol
+        # a later block of a length that is no multiple of B, into the front of a buffer
+        start, count = 2 * PHASE_BLOCK, m - 2 * PHASE_BLOCK - 5
+        buf = np.zeros(lam.shape[0] * m, dtype=np.complex128)
+        part = phases.table(lam, c, start, count, out=buf)
+        assert part.shape == (lam.shape[0], count) and np.shares_memory(part, buf)
+        assert np.max(np.abs(part - direct[:, start:start + count])) <= tol
+
+    @pytest.mark.parametrize("points", [1001, 1000, 2 * PHASE_BLOCK * MIN_FACTORED_BLOCKS + 7])
+    def test_one_segment_of_any_length(self, points):
+        lam, c = self.spectrum(16)
+        (phases,) = segment_phases(points, [4.0 * math.pi])
+        assert phases.points.shape[0] % PHASE_BLOCK != 0
+        self.assert_factored_matches_direct(phases, lam, c)
+
+    def test_segments_that_start_away_from_zero(self):
+        # three segments whose entries fall between grid points
+        lam, c = self.spectrum(12)
+        segments = segment_phases(1001, [3.3, 7.1, 2.9])
+        for phases in segments[1:]:
+            assert phases.points[0] > 0.0
+            self.assert_factored_matches_direct(phases, lam, c)
+
+    def test_short_and_uneven_segments_use_the_direct_table(self):
+        lam, c = self.spectrum(8)
+        short = segment_phases(MIN_FACTORED_BLOCKS * PHASE_BLOCK, [1.0])[0]
+        uneven = _SegmentPhases(np.append(np.linspace(0.0, 1.0, 1000) ** 2, 1.0))
+        # every other point 1e-9 of the span late: a phase error of 1e-9 |lam| t if factored
+        jittered = np.linspace(0.0, 1.0, 1001)
+        jittered[1::2] += 1e-9
+        for phases in (short, uneven, _SegmentPhases(jittered)):
+            assert not phases.factored
+            m = phases.points.shape[0]
+            assert np.array_equal(phases.table(lam, c, 0, m), _phase_table(lam, phases.points, c))
+
+    def test_segment_end_column_is_the_direct_column_bit_for_bit(self):
+        # the state handed to the next segment comes from its exact end time
+        lam, c = self.spectrum(16)
+        for phases in segment_phases(1001, [3.3, 7.1, 2.9]):
+            times = np.append(phases.points, phases.end_time)
+            assert np.array_equal(phases.end(lam, c), _phase_table(lam, times, c)[:, -1:])
 
 
 class TestDivergenceProfile:

@@ -239,6 +239,22 @@ def test_usage_errors_exit_2_with_one_error_line(argv, capsys):
     assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("analog --n 4 --w abc", "argument --w: expected a basis index, 'random' or 's', got 'abc'"),
+        ("grover --n 4 --marked x", "argument --marked: expected a basis index or 'random', got 'x'"),
+    ],
+)
+def test_target_that_is_no_index_names_its_flag_and_words(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split() + ["--out", os.devnull])
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [line for line in lines if "error:" in line] == [lines[-1]]
+    assert lines[-1].endswith(f"error: {message}")
+
+
 FUZZ_FLOATS = st.sampled_from(
     ["5e-324", "1e-320", "1e-300", "1e-10", "1e-3", "0.5", "1", "3", "1e300", "1e308", "1.7e308"]
 )
@@ -327,14 +343,26 @@ def _assert_exit_1_without_report(argv, tmp_path, capsys):
 
 
 def test_bound_norm_drift_exits_1(tmp_path, monkeypatch, capsys):
-    propagate = qsearch.bound.propagate
+    # every phase table of the reference and the oracles is built here
+    phase_table = qsearch.bound._phase_table
 
     def drifting(*args, **kwargs):
-        rows = propagate(*args, **kwargs)
-        rows *= 1.0 + 1e-6  # in place, so a caller's ``out`` drifts too
-        return rows
+        table = phase_table(*args, **kwargs)
+        table *= 1.0 + 1e-6  # in place, so a caller's ``out`` drifts too
+        return table
 
-    monkeypatch.setattr(qsearch.bound, "propagate", drifting)
+    monkeypatch.setattr(qsearch.bound, "_phase_table", drifting)
+    _assert_exit_1_without_report(["bound", "--n", "4"], tmp_path, capsys)
+
+
+def test_bound_oracle_norm_drift_exits_1(tmp_path, monkeypatch, capsys):
+    # the real products of the oracles alone drift: their own check fires
+    product = qsearch.bound._real_product
+
+    def drifting(*args, **kwargs):
+        return product(*args, **kwargs) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(qsearch.bound, "_real_product", drifting)
     _assert_exit_1_without_report(["bound", "--n", "4"], tmp_path, capsys)
 
 

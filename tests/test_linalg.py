@@ -242,10 +242,17 @@ def gue_spectrum(n, rng):
     return np.linalg.eigvalsh((g + g.conj().T) / 2.0)
 
 
+def eigenvectors(phase, q):
+    """The unitaries diag(phase_b) q_b whose columns are the eigenvectors."""
+    return phase[:, :, None] * q
+
+
 def assert_rank_one_eigensystem(lam, u, rho):
     """rank_one_eigh against eigh of the dense diag(lam) + rho u u^dagger."""
-    mu, q = rank_one_eigh(lam, u[None], rho)
-    mu, q = mu[0], q[0]
+    mu, phase, q = rank_one_eigh(lam, u[None], rho)
+    assert q.dtype == np.float64 and q[0].flags.c_contiguous
+    assert np.max(np.abs(np.abs(phase) - 1.0)) <= 1e-15
+    mu, q = mu[0], eigenvectors(phase, q)[0]
     dense = np.diag(lam) + rho * np.outer(u, u.conj())
     scale = max(float(np.max(np.abs(lam))), abs(rho) * float(np.vdot(u, u).real), 1e-300)
     assert np.all(np.diff(mu) >= 0.0)
@@ -305,8 +312,8 @@ class TestRankOneEigh:
         rng = np.random.default_rng(8)
         lam = gue_spectrum(10, rng)
         u = haar_state(10, rng).amps
-        mu, q = rank_one_eigh(lam * size, u[None], size)
-        mu, q = mu[0], q[0]
+        mu, phase, q = rank_one_eigh(lam * size, u[None], size)
+        mu, q = mu[0], eigenvectors(phase, q)[0]
         assert np.linalg.norm(q.conj().T @ q - np.eye(10), 2) <= 1e-13
         if size > 1e-300:  # at 5e-324 only the unitarity is meaningful
             ref_mu = rank_one_eigh(lam, u[None], 1.0)[0][0]
@@ -314,8 +321,9 @@ class TestRankOneEigh:
 
     def test_rho_zero_is_the_identity(self):
         lam = np.array([-1.0, 0.5, 2.0])
-        mu, q = rank_one_eigh(lam, StateVector.uniform(3).amps[None], 0.0)
+        mu, phase, q = rank_one_eigh(lam, StateVector.uniform(3).amps[None], 0.0)
         assert np.array_equal(mu[0], lam)
+        assert np.array_equal(phase[0], np.ones(3))
         assert np.array_equal(q[0], np.eye(3))
 
     def test_refuses_one_vector_and_negative_rho(self):
@@ -329,11 +337,13 @@ class TestRankOneEigh:
         # the rows of V^dagger, as bound passes them: one update per oracle
         rng = np.random.default_rng(7)
         lam, vecs = np.linalg.eigh(random_hermitian(12, rng).mat)
-        mu, q = rank_one_eigh(lam, vecs.conj(), 0.8)
-        assert mu.shape == (12, 12) and q.shape == (12, 12, 12)
+        mu, phase, q = rank_one_eigh(lam, vecs.conj(), 0.8)
+        assert mu.shape == phase.shape == (12, 12) and q.shape == (12, 12, 12)
+        assert all(q_w.flags.c_contiguous for q_w in q)
         for w in range(12):
-            one_mu, one_q = rank_one_eigh(lam, vecs[w].conj()[None], 0.8)
+            one_mu, one_phase, one_q = rank_one_eigh(lam, vecs[w].conj()[None], 0.8)
             assert np.max(np.abs(mu[w] - one_mu[0])) <= 1e-14
+            assert np.array_equal(phase[w], one_phase[0])
             assert np.max(np.abs(q[w] - one_q[0])) <= 1e-12
 
 

@@ -51,8 +51,8 @@ ORACLE_BATCH_ELEMENTS = 1 << 16
 # in one block; 256- and 128-point blocks were 9% and 21% slower there.
 TIME_BLOCK_ELEMENTS = 1 << 17
 
-# On a uniform grid the phase table exp(-i mu (a B + b) dt) is built from two
-# small tables, exp(-i mu a B dt) and exp(-i mu b dt), for B = PHASE_BLOCK:
+# On a uniform grid the phase table exp(-i mu t_{aB+b}) is built from two
+# small tables, exp(-i mu t_{aB}) and exp(-i mu b dt), for B = PHASE_BLOCK:
 # about B times fewer cos/sin evaluations. A segment of fewer than
 # MIN_FACTORED_BLOCKS blocks of grid points builds its table directly (at
 # N = 64 the two ways cost the same near 32 points; at 100 points the factored
@@ -210,10 +210,11 @@ class _SegmentPhases:
 
     On an evenly spaced run of at least MIN_FACTORED_BLOCKS * PHASE_BLOCK
     points, t_j = t_0 + j dt, column a B + b is the product of
-    exp(-i lam (t_0 + a B dt)) c and exp(-i lam b dt) = exp(-i lam dt)^b: per
-    block of B columns, one column of cos/sin and B complex products. Otherwise
-    every column is built directly by ``_phase_table``, as the segment end,
-    whose state the next segment starts from, always is.
+    exp(-i lam t_{aB}) c, at the block's first point, and
+    exp(-i lam b dt) = exp(-i lam dt)^b: per block of B columns, one column of
+    cos/sin and B complex products. Otherwise every column is built directly
+    by ``_phase_table``, as the segment end, whose state the next segment
+    starts from, always is.
     """
 
     def __init__(self, times: np.ndarray):
@@ -287,7 +288,7 @@ def oracle_trajectory(
 ) -> np.ndarray:
     """Amplitude rows of psi0 evolved under E|w><w| + driver at the grid
     times: one oracle's full (len(grid), N) block, from a dense ``eigh`` of
-    each segment's matrix. The small-N reference for ``evolve_trajectories``."""
+    each segment's matrix. The dense reference for ``evolve_trajectories``."""
     proj = e * np.outer(w, w.conj())
     return _propagate_schedule(
         [(dur, *np.linalg.eigh(op.mat + proj)) for dur, op in driver.segments], psi0, grid

@@ -4,17 +4,18 @@ For every candidate target w, the state evolved under E|w><w| + H_D(t) is
 compared against the reference evolved under H_D(t) alone. The summed
 squared distance D(t) grows at most 2*E*sqrt(N) per unit time regardless of
 the driver, which is what caps how fast any drive can reveal w. This module
-evolves all N + 1 trajectories over a time grid, keeping per oracle only its
-squared distance to the reference, then computes D(t), checks the integrated
-and derivative forms of the growth bound, and locates the first time the
-trajectories become distinguishable at a given threshold.
+evolves all N + 1 trajectories over an evenly spaced time grid, keeping per
+oracle only its squared distance to the reference, then computes D(t),
+checks the integrated and derivative forms of the growth bound, and locates
+the first time the trajectories become distinguishable at a given threshold.
 
 Drivers are piecewise-constant schedules; each segment is propagated exactly
 (up to eigendecomposition error) in its own eigenbasis, so no ODE-stepping
 error pollutes the bound checks. A segment's driver is eigendecomposed once
 (O(N^3)); every oracle term is rank one, so each oracle's eigensystem is a
 rank-one update of the driver's (O(N^2)), and its trajectory costs O(N^2)
-per grid point. A smooth driver can be approximated by
+per grid point; the even spacing lets its phase table take one cos/sin
+column per PHASE_BLOCK points. A smooth driver can be approximated by
 refining segments; convergence of that approximation is the caller's
 responsibility. The per-oracle trajectories are independent and could run in
 parallel; they are reduced in a fixed order so results never depend on
@@ -51,15 +52,11 @@ ORACLE_BATCH_ELEMENTS = 1 << 16
 # in one block; 256- and 128-point blocks were 9% and 21% slower there.
 TIME_BLOCK_ELEMENTS = 1 << 17
 
-# On a uniform grid the phase table exp(-i mu t_{aB+b}) is built from two
-# small tables, exp(-i mu t_{aB}) and exp(-i mu b dt), for B = PHASE_BLOCK:
-# about B times fewer cos/sin evaluations. A segment of fewer than
-# MIN_FACTORED_BLOCKS blocks of grid points builds its table directly (at
-# N = 64 the two ways cost the same near 32 points; at 100 points the factored
-# table took 87 us against 199), and so does one whose points are further than
-# UNIFORM_ULPS ulps of its last time from an even spacing.
+# The grid is evenly spaced, so the phase table exp(-i mu t_{aB+b}) is built
+# from two small tables, exp(-i mu t_{aB}) and exp(-i mu b dt), for
+# B = PHASE_BLOCK: about B times fewer cos/sin evaluations. A grid point may
+# lie up to UNIFORM_ULPS ulps of the grid's end from np.linspace's.
 PHASE_BLOCK = 32
-MIN_FACTORED_BLOCKS = 2
 UNIFORM_ULPS = 16
 
 
@@ -109,10 +106,15 @@ class DriverSchedule:
 
 
 def _random_hermitian(n: int, spectral_norm: float, rng: np.random.Generator) -> HermitianOperator:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = (g + g.conj().T) / 2.0
-    top = float(np.max(np.abs(np.linalg.eigvalsh(h))))
-    return HermitianOperator(h * (spectral_norm / top))
+    re, im = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    # (g + g^dagger) / 2 for g = re + i im, written into one complex array
+    h = np.empty((n, n), dtype=np.complex128)
+    np.add(re, re.T, out=h.real)
+    np.subtract(im, im.T, out=h.imag)
+    del re, im
+    h *= 0.5
+    h *= spectral_norm / float(np.max(np.abs(np.linalg.eigvalsh(h))))
+    return HermitianOperator(h)
 
 
 def build_driver(
@@ -204,57 +206,30 @@ def _check_norms(cols: np.ndarray) -> None:
         raise QSearchError(f"trajectory drifts in norm by {drift!r}")
 
 
-class _SegmentPhases:
-    """The phase tables exp(-i lam t) c of one segment: ``times`` are its grid
-    points, as times from its entry, and then its end.
+def _factored_table(lam: np.ndarray, times: np.ndarray, dt: float, c: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """The N x len(times) table exp(-i lam t_j) c for a run of times
+    t_{aB+b} = t_{aB} + b dt, B = PHASE_BLOCK, C-ordered, in the front of the
+    flat buffer ``out`` when one is given.
 
-    On an evenly spaced run of at least MIN_FACTORED_BLOCKS * PHASE_BLOCK
-    points, t_j = t_0 + j dt, column a B + b is the product of
-    exp(-i lam t_{aB}) c, at the block's first point, and
-    exp(-i lam b dt) = exp(-i lam dt)^b: per block of B columns, one column of
-    cos/sin and B complex products. Otherwise every column is built directly
-    by ``_phase_table``, as the segment end, whose state the next segment
-    starts from, always is.
+    Column aB + b is the product of exp(-i lam t_{aB}) c, at the block's own
+    first time, and exp(-i lam b dt) = exp(-i lam dt)^b: per block of B
+    columns, one column of cos/sin and B complex products.
     """
-
-    def __init__(self, times: np.ndarray):
-        self.points, self.end_time = times[:-1], times[-1:]
-        self.factored = False
-        m = self.points.shape[0]
-        if m >= MIN_FACTORED_BLOCKS * PHASE_BLOCK:
-            step = (self.points[-1] - self.points[0]) / (m - 1)
-            even = self.points[0] + step * np.arange(m)
-            if np.max(np.abs(self.points - even)) <= UNIFORM_ULPS * np.finfo(np.float64).eps * self.points[-1]:
-                self.factored = True
-                self.step = np.array([step])
-                self.heads = self.points[::PHASE_BLOCK]
-
-    def end(self, lam: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """The N x 1 column at the segment end."""
-        return _phase_table(lam, self.end_time, c)
-
-    def table(self, lam: np.ndarray, c: np.ndarray, start: int, count: int,
-              out: np.ndarray | None = None) -> np.ndarray:
-        """The N x ``count`` table for points start .. start + count - 1, C-ordered,
-        in the front of the flat buffer ``out`` when one is given; ``start`` is a
-        multiple of PHASE_BLOCK on the factored path."""
-        n = lam.shape[0]
-        buf = np.empty((n, count), dtype=np.complex128) if out is None else out[:n * count].reshape(n, count)
-        if not self.factored:
-            return _phase_table(lam, self.points[start:start + count], c, out=buf)
-        full, rest = divmod(count, PHASE_BLOCK)
-        first = start // PHASE_BLOCK
-        heads = _phase_table(lam, self.heads[first:first + full + (rest > 0)], c)
-        # the powers of exp(-i lam dt) by repeated products: within B - 1 roundings
-        powers = np.empty((n, PHASE_BLOCK), dtype=np.complex128)
-        powers[:, 0] = 1.0
-        powers[:, 1:] = _phase_table(lam, self.step)
-        np.cumprod(powers, axis=1, out=powers)
-        # a view: the split axis is contiguous within each row
-        body = buf[:, :full * PHASE_BLOCK].reshape(n, full, PHASE_BLOCK)
-        np.multiply(heads[:, :full, None], powers[:, None, :], out=body)
-        np.multiply(heads[:, full:], powers[:, :rest], out=buf[:, full * PHASE_BLOCK:])
-        return buf
+    n, count = lam.shape[0], times.shape[0]
+    buf = np.empty((n, count), dtype=np.complex128) if out is None else out[:n * count].reshape(n, count)
+    full, rest = divmod(count, PHASE_BLOCK)
+    heads = _phase_table(lam, times[::PHASE_BLOCK], c)
+    # the powers of exp(-i lam dt) by repeated products: within B - 1 roundings
+    powers = np.empty((n, PHASE_BLOCK), dtype=np.complex128)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = _phase_table(lam, np.array([dt]))
+    np.cumprod(powers, axis=1, out=powers)
+    # a view: the split axis is contiguous within each row
+    body = buf[:, :full * PHASE_BLOCK].reshape(n, full, PHASE_BLOCK)
+    np.multiply(heads[:, :full, None], powers[:, None, :], out=body)
+    np.multiply(heads[:, full:], powers[:, :rest], out=buf[:, full * PHASE_BLOCK:])
+    return buf
 
 
 def _real_product(q: np.ndarray, cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -307,8 +282,9 @@ def evolve_trajectories(
 
     The reference follows the driver alone; trajectory w follows
     E|w><w| + driver. The oracle scale E must be finite and positive; the
-    grid must start at 0, increase strictly, and stay within the schedule
-    horizon.
+    grid must stay within the schedule horizon and increase in even steps
+    from 0: within ``UNIFORM_ULPS`` ulps of its end T from
+    ``np.linspace(0, T, M)``, whose points are j dt, dt = T / (M - 1), and T.
 
     Each segment's driver is eigendecomposed once, H_D = V diag(lam) V^dagger
     (one ``eigh`` per segment), and everything is worked in its eigenbasis,
@@ -318,22 +294,28 @@ def evolve_trajectories(
     gives the eigensystem of the middle factor in O(N^2) as diag(phase) Q with
     Q real. Oracle w's states are then diag(phase) Q exp(-i mu t) c with
     c = Q^T (conj(phase) * V^dagger psi_w): per block of grid points, a phase
-    table (``_SegmentPhases``) and one real N x N by N x 2M product
-    (O(N^2 M) for M grid points), checked for norm drift, rephased and reduced
-    at once to the distances to the reference. Only the state at the segment
-    end, built directly from its exact time, is kept, mapped back by V.
+    table (``_factored_table``, from the grid's own points every PHASE_BLOCK
+    and the step dt) and one real N x N by N x 2M product (O(N^2 M) for M
+    grid points), checked for norm drift, rephased and reduced at once to the
+    distances to the reference. Only the state at the segment end, built
+    directly from its exact time, is kept, mapped back by V.
     """
     if not (math.isfinite(e) and e > 0.0):
         raise ValueError(f"oracle scale must be positive, got {e}")
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.shape[0] < 1 or grid[0] != 0.0:
         raise ValueError("grid must be a 1-d array starting at 0")
-    if np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid times must increase strictly")
     if grid[-1] > driver.horizon + 1e-9 * max(1.0, driver.horizon):  # the summed durations round
         raise ValueError(
             f"grid reaches {grid[-1]!r} beyond the schedule horizon {driver.horizon!r}"
         )
+    # at a subnormal step even np.linspace's points need not increase
+    steps = grid.shape[0] - 1
+    if not (np.all(np.diff(grid) > 0.0) and np.all(  # also nan
+            np.abs(grid - np.linspace(0.0, grid[-1], steps + 1)) <= UNIFORM_ULPS * np.spacing(grid[-1]))):
+        raise ValueError(f"grid must increase in even steps: within {UNIFORM_ULPS} ulps of its end "
+                         f"from np.linspace(0, end, {steps + 1})")
+    dt = grid[-1] / steps if steps else 0.0
     n = initial.dim
     if driver.dim != n:
         raise ValueError(f"dimension mismatch: driver {driver.dim} vs state {n}")
@@ -350,14 +332,13 @@ def evolve_trajectories(
     durations = [dur for dur, _ in driver.segments]
     for (lo, hi, times), (_, op) in zip(_segment_times(durations, grid), driver.segments):
         evals, vecs = np.linalg.eigh(op.mat)
-        phases = _SegmentPhases(times)
-        m = hi - lo
+        points, end, m = times[:-1], times[-1:], hi - lo
         # From here on, the driver's eigenbasis: the reference's states (columns)
         # exp(-i lam t) V^dagger psi, the oracles u = V^dagger w and the entry
         # states V^dagger psi_w (rows).
         coeffs = vecs.conj().T @ psi_ref
-        ref = phases.table(evals, coeffs, 0, m)
-        ref_end = phases.end(evals, coeffs)
+        ref = _factored_table(evals, points, dt, coeffs)
+        ref_end = _phase_table(evals, end, coeffs)
         _check_norms(ref)
         _check_norms(ref_end)
         psi_ref = vecs @ ref_end[:, 0]
@@ -373,13 +354,14 @@ def evolve_trajectories(
             # rephased; a diagonal unitary keeps their norms. A batch at a time: the c_w,
             # and the states at the segment end, mapped back by V.
             c = _real_product(q.transpose(0, 2, 1), (phase.conj() * entry[start:ws.stop])[:, :, None])
-            last = _real_product(q, phases.end(mu.ravel(), c.ravel()).reshape(c.shape))
+            last = _real_product(q, _phase_table(mu.ravel(), end, c.ravel()).reshape(c.shape))
             _check_norms(last)
             states[start:ws.stop] = (phase * last[:, :, 0]) @ vecs.T
             for wi, mu_w, phase_w, q_w, c_w in zip(ws, mu, phase, q, c[:, :, 0]):
                 for j in range(0, m, block):
                     count = min(block, m - j)
-                    state = _real_product(q_w, phases.table(mu_w, c_w, j, count, out=table), out=cols)
+                    state = _real_product(q_w, _factored_table(mu_w, points[j:j + count], dt, c_w, out=table),
+                                          out=cols)
                     _check_norms(state)
                     state *= phase_w[:, None]
                     state -= ref[:, j:j + count]  # now the differences from the reference

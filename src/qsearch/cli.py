@@ -173,18 +173,19 @@ def _fmt(value) -> str:
 
 
 def _complex_pairs(amps: np.ndarray) -> list[list[float]]:
+    """A complex vector of a report as JSON holds it: one [re, im] per entry."""
     return [[float(a.real), float(a.imag)] for a in amps]
 
 
 def _write_report(payload: dict, out: str | None, fmt: str) -> None:
     if fmt == "json":
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False, default=_complex_pairs) + "\n"
     else:
         lines = [f"# schema: {payload['schema']}", f"# tool: qsearch {payload['version']}"]
         lines.append(f"# command: {payload['command']}")
         for section in ("config", "derived", "summary"):
             for key, val in payload.get(section, {}).items():
-                if isinstance(val, (list, dict)):
+                if isinstance(val, (list, dict, np.ndarray)):
                     continue  # vectors stay JSON-only; scalars are enough for CSV
                 lines.append(f"# {section}.{key} = {val}")
         series = payload["series"]
@@ -258,8 +259,8 @@ def cmd_analog(cfg: argparse.Namespace) -> dict:
         "eigenvalue_low": lo,
         "eigenvalue_high": hi,
         "max_deviation": max_dev,
-        "s": _complex_pairs(s.amps),
-        "w": _complex_pairs(w.amps),
+        "s": s.amps,  # as [re, im] pairs in JSON
+        "w": w.amps,
     }
     payload["summary"] = {"pass": max_dev < ANALOG_PASS_TOL, "pass_tolerance": ANALOG_PASS_TOL}
     payload["series"] = {

@@ -156,11 +156,13 @@ def rank_one_eigh(
     evals: np.ndarray, u: np.ndarray, rho: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigensystems of diag(evals) + rho u_b u_b^dagger for each row u_b of a
-    stack ``u`` of shape (B, N), as ``(mu, phase, q)``: ascending eigenvalues
-    (B, N), the unit phases (B, N) of u and real orthogonal matrices (B, N, N),
-    each ``q[b]`` C-contiguous, such that diag(phase_b) q_b is a unitary
-    whose columns are eigenvectors. A caller can so work with the real q_b in
-    the basis rephased by phase_b.
+    stack ``u`` of shape (B, N), as ``(mu, phase, q)``: eigenvalues (B, N),
+    the unit phases (B, N) of u and real orthogonal matrices (B, N, N), each
+    ``q[b]`` C-contiguous, such that diag(phase_b) q_b is a unitary whose
+    columns are eigenvectors, column k for eigenvalue mu_b[k]. A caller can
+    so work with the real q_b in the basis rephased by phase_b. The
+    eigenpairs come in the order the solver makes them, not sorted: the
+    deflated ones first, then the roots of the secular equation, ascending.
 
     ``evals`` is real and ascending and ``rho`` >= 0; a 1-d ``u`` or a
     negative ``rho`` raises ``ValueError``. The stack shares one deflation
@@ -216,9 +218,9 @@ def rank_one_eigh(
         z[:, lo + 1:hi] = 0.0
 
     keep = r[:, None] * z > tol
-    if keep.all():  # no deflation, no reflection, and the roots come sorted
+    if keep.all():  # no deflation and no reflection
         mu, q = _secular_roots(np.broadcast_to(d, (batch, n)), r[:, None] * z * z)
-        return np.ldexp(mu, shift), phase, np.ascontiguousarray(q)
+        return np.ldexp(mu, shift), phase, q
     count = np.sum(keep, axis=1)
     vals = np.empty((batch, n))
     q = np.zeros((batch, n, n))
@@ -233,16 +235,15 @@ def rank_one_eigh(
         vals[rows] = np.concatenate((d[dropped_idx], mu), axis=1)
         q[rows[:, None], dropped_idx, np.arange(n - k)] = 1.0
         q[rows[:, None, None], kept_idx[:, :, None], np.arange(n - k, n)] = vecs
-    order = np.argsort(vals, axis=1, kind="stable")
-    q = np.take_along_axis(q, order[:, None, :], axis=2)
     for lo, hi, v, beta in reflections:
         q[:, lo:hi] -= (beta[:, None] * v)[:, :, None] * np.einsum("bm,bmn->bn", v, q[:, lo:hi])[:, None, :]
-    return np.ldexp(np.take_along_axis(vals, order, axis=1), shift), phase, q
+    return np.ldexp(vals, shift), phase, q
 
 
 def _secular_roots(d: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and unit eigenvectors (as columns) of diag(d) + v v^T with
-    v = sqrt(w2), for each row of strictly ascending d and positive w2.
+    """Ascending eigenvalues and unit eigenvectors of diag(d) + v v^T with
+    v = sqrt(w2), for each row of strictly ascending d and positive w2: the
+    eigenvectors as the columns of C-ordered (rows, k, k) matrices.
 
     Root k solves f(mu) = 1 + sum_i w2_i / (d_i - mu) = 0 in (d_k, d_k+1)
     (the last in (d_K, d_K + sum w2)); all roots of all rows step together.
@@ -315,9 +316,13 @@ def _secular_roots(d: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarra
         left = d[:, None, :] - d[:, :, None]
         left[:, idx, idx] = -1.0
         zhat = np.sqrt(np.prod(np.divide(delta, left, out=left), axis=1))
-        vecs = np.divide(zhat[:, None, :], delta, out=delta)
-    vecs /= np.sqrt(np.einsum("rki,rki->rk", vecs, vecs))[:, :, None]
-    return d_origin + tau, vecs.transpose(0, 2, 1)
+        del left
+        # vecs[., i, k] = zhat_i / (d_i - mu_k), in C order (a ufunc's own result on the
+        # transposed delta would be F-ordered), so each q[b] is handed over without a copy
+        vecs = np.empty((rows, k, k))
+        np.divide(zhat[:, :, None], delta.transpose(0, 2, 1), out=vecs)
+    vecs /= np.sqrt(np.einsum("rik,rik->rk", vecs, vecs))[:, None, :]
+    return d_origin + tau, vecs
 
 
 def _model_root(c, dp, dq, wp, wq, lo, hi):
@@ -346,13 +351,11 @@ def propagate(evals: np.ndarray, vecs: np.ndarray, psi: np.ndarray, times) -> np
     return (vecs @ _phase_table(evals, np.asarray(times, dtype=np.float64), coeffs)).T
 
 
-def _phase_table(lam: np.ndarray, times: np.ndarray, c: np.ndarray | None = None,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """The N x len(times) table exp(-i lam_k t_j) c_k (c = 1 when None), in
-    ``out`` when one is given."""
+def _phase_table(lam: np.ndarray, times: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
+    """The N x len(times) table exp(-i lam_k t_j) c_k (c = 1 when None)."""
     # theta = lam x times goes in the imaginary part of one complex buffer, then
     # cos and sin: the same bits as np.exp(-1j * theta), faster
-    table = np.empty((lam.shape[0], times.shape[0]), dtype=np.complex128) if out is None else out
+    table = np.empty((lam.shape[0], times.shape[0]), dtype=np.complex128)
     theta = table.imag
     np.multiply.outer(lam, times, out=theta)
     np.cos(theta, out=table.real)

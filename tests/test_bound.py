@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qsearch import (
     DriverSchedule,
@@ -19,12 +21,12 @@ from qsearch import (
 
 from qsearch.analog import evolve_closed_form
 from qsearch.bound import (
-    MIN_FACTORED_BLOCKS,
     PHASE_BLOCK,
     UNIFORM_ULPS,
+    _factored_table,
     _propagate_schedule,
+    _random_hermitian,
     _segment_times,
-    _SegmentPhases,
     build_driver,
     oracle_trajectory,
 )
@@ -148,8 +150,25 @@ class TestEvolveTrajectories:
         sched = DriverSchedule.zero(n, 5.0)
         with pytest.raises(ValueError):
             evolve_trajectories(1.0, standard_basis(n), sched, StateVector.uniform(n), np.array([0.1, 0.2]))
-        with pytest.raises(ValueError):
-            evolve_trajectories(1.0, standard_basis(n), sched, StateVector.uniform(n), np.array([0.0, 0.2, 0.2]))
+        # every other point 1e-9 late: a phase error of 1e-9 |lam| were it taken as even
+        jittered = np.linspace(0.0, 1.0, 1001)
+        jittered[1::2] += 1e-9
+        for grid in ([0.0, 0.2, 0.2], [0.0, 0.0, 0.0], [0.0, -1.0], [0.0, np.nan, 2.0],
+                     np.linspace(0.0, 1.0, 1000) ** 2, jittered,
+                     np.linspace(0.0, 1600 * 5e-324, 1001)):  # a subnormal step: the end falls back
+            with pytest.raises(ValueError, match="even steps"):
+                evolve_trajectories(1.0, standard_basis(n), sched, StateVector.uniform(n), np.array(grid))
+
+    @given(points=st.integers(2, 5000), end=st.floats(5e-324, 1e300))
+    @example(points=791, end=7.9e-308)  # bound --dt 1e-310 --horizon 7.9e-308: 790 dt is 24 ulps short
+    @settings(max_examples=100, derandomize=True)
+    def test_every_increasing_linspace_grid_is_accepted(self, points, end):
+        # as every one with a normal step is; a subnormal step can end (M - 1) dt many ulps off
+        grid = np.linspace(0.0, end, points)
+        assume(np.all(np.diff(grid) > 0.0))
+        traj = evolve_trajectories(1.0, standard_basis(1), DriverSchedule.zero(1, end),
+                                   StateVector.uniform(1), grid)
+        assert traj.distance.shape == (1, points)
 
     def test_initial_grid_point_is_bit_exact(self):
         n = 4
@@ -215,6 +234,26 @@ class TestRankOneUpdatePath:
         evolve_trajectories(1.0, standard_basis(n), driver, StateVector.uniform(n), uniform_grid(5.0, 50))
         assert len(count) == calls
 
+    def test_piecewise_segments_of_few_grid_points(self):
+        # segment ends fall half-way between points 0.1 apart: segments of 0, 1, 2, 31
+        # (one short of a phase block) and 33 (one past) grid points
+        n, e = 6, 1.0
+        durations = [0.05, 0.1, 0.2, 3.1, 3.3]
+        grid = np.linspace(0.0, 6.7, 68)
+        assert [hi - lo for lo, hi, _ in _segment_times(durations, grid)] == [0, 1, 2, 31, 33]
+        rng = np.random.default_rng(11)
+        driver = DriverSchedule.piecewise([random_hermitian(n, rng) for _ in durations], durations)
+        s = StateVector.uniform(n)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):  # as the CLI runs it
+            traj = evolve_trajectories(e, standard_basis(n), driver, s, grid)
+        reference = _propagate_schedule(
+            [(dur, *np.linalg.eigh(op.mat)) for dur, op in driver.segments], s.amps, grid
+        )
+        for w, wvec in enumerate(standard_basis(n)):
+            block = oracle_trajectory(e, wvec.amps, driver, s.amps, grid)
+            distance = np.sum(np.abs(block - reference) ** 2, axis=1)
+            assert np.max(np.abs(traj.distance[w] - distance)) <= 1e-12
+
 
 class TestKernelAtBenchmarkSize:
     """The per-oracle kernel at the N and grid the benchmark runs (1001 points
@@ -236,18 +275,19 @@ class TestKernelAtBenchmarkSize:
             assert np.max(np.abs(traj.distance[w] - distance)) <= 1e-12
 
 
-def segment_phases(points, durations):
-    """Each segment of a grid of ``points`` over the durations, as the kernel
-    sees it."""
+def segment_points(points, durations):
+    """The grid step and each segment's grid points, as times from its entry,
+    of a grid of ``points`` over the durations, as the kernel sees them."""
     grid = np.linspace(0.0, sum(durations), points)
-    return [_SegmentPhases(times) for _, _, times in _segment_times(durations, grid)]
+    return grid[-1] / (points - 1), [times[:-1] for _, _, times in _segment_times(durations, grid)]
 
 
 class TestSegmentPhases:
     """The factored phase table against the direct cos/sin table. Per entry of
     unit-size c it may differ by B + 4 roundings, from the powers
-    exp(-i lam dt)^b and the products, plus the phase of the UNIFORM_ULPS ulps
-    by which the points may leave an even spacing."""
+    exp(-i lam dt)^b and the products, plus the phase of twice UNIFORM_ULPS
+    ulps of the grid's end: a block's first point and a later one may each
+    leave the even spacing by that much."""
 
     @staticmethod
     def spectrum(n):
@@ -256,53 +296,40 @@ class TestSegmentPhases:
         c = np.exp(2j * np.pi * rng.random(n)) / math.sqrt(n)
         return lam, c
 
-    def assert_factored_matches_direct(self, phases, lam, c):
-        assert phases.factored
-        direct = _phase_table(lam, phases.points, c)
+    def assert_factored_matches_direct(self, points, dt, end, lam, c):
+        direct = _phase_table(lam, points, c)
         eps = np.finfo(np.float64).eps
-        tol = (PHASE_BLOCK + 4) * eps + UNIFORM_ULPS * eps * np.max(np.abs(lam)) * phases.points[-1]
-        m = phases.points.shape[0]
-        assert np.max(np.abs(phases.table(lam, c, 0, m) - direct)) <= tol
+        tol = (PHASE_BLOCK + 4) * eps + 2 * UNIFORM_ULPS * np.spacing(end) * np.max(np.abs(lam))
+        m = points.shape[0]
+        assert np.max(np.abs(_factored_table(lam, points, dt, c) - direct)) <= tol
         # a later block of a length that is no multiple of B, into the front of a buffer
         start, count = 2 * PHASE_BLOCK, m - 2 * PHASE_BLOCK - 5
         buf = np.zeros(lam.shape[0] * m, dtype=np.complex128)
-        part = phases.table(lam, c, start, count, out=buf)
+        part = _factored_table(lam, points[start:start + count], dt, c, out=buf)
         assert part.shape == (lam.shape[0], count) and np.shares_memory(part, buf)
         assert np.max(np.abs(part - direct[:, start:start + count])) <= tol
 
-    @pytest.mark.parametrize("points", [1001, 1000, 2 * PHASE_BLOCK * MIN_FACTORED_BLOCKS + 7])
-    def test_one_segment_of_any_length(self, points):
+    @pytest.mark.parametrize("count", [1001, 1000, 4 * PHASE_BLOCK + 7])
+    def test_one_segment_of_any_length(self, count):
         lam, c = self.spectrum(16)
-        (phases,) = segment_phases(points, [4.0 * math.pi])
-        assert phases.points.shape[0] % PHASE_BLOCK != 0
-        self.assert_factored_matches_direct(phases, lam, c)
+        dt, (points,) = segment_points(count, [4.0 * math.pi])
+        assert points.shape[0] % PHASE_BLOCK != 0
+        self.assert_factored_matches_direct(points, dt, 4.0 * math.pi, lam, c)
 
     def test_segments_that_start_away_from_zero(self):
         # three segments whose entries fall between grid points
         lam, c = self.spectrum(12)
-        segments = segment_phases(1001, [3.3, 7.1, 2.9])
-        for phases in segments[1:]:
-            assert phases.points[0] > 0.0
-            self.assert_factored_matches_direct(phases, lam, c)
-
-    def test_short_and_uneven_segments_use_the_direct_table(self):
-        lam, c = self.spectrum(8)
-        short = segment_phases(MIN_FACTORED_BLOCKS * PHASE_BLOCK, [1.0])[0]
-        uneven = _SegmentPhases(np.append(np.linspace(0.0, 1.0, 1000) ** 2, 1.0))
-        # every other point 1e-9 of the span late: a phase error of 1e-9 |lam| t if factored
-        jittered = np.linspace(0.0, 1.0, 1001)
-        jittered[1::2] += 1e-9
-        for phases in (short, uneven, _SegmentPhases(jittered)):
-            assert not phases.factored
-            m = phases.points.shape[0]
-            assert np.array_equal(phases.table(lam, c, 0, m), _phase_table(lam, phases.points, c))
+        dt, segments = segment_points(1001, [3.3, 7.1, 2.9])
+        for points in segments[1:]:
+            assert points[0] > 0.0
+            self.assert_factored_matches_direct(points, dt, 13.3, lam, c)
 
     def test_segment_end_column_is_the_direct_column_bit_for_bit(self):
         # the state handed to the next segment comes from its exact end time
         lam, c = self.spectrum(16)
-        for phases in segment_phases(1001, [3.3, 7.1, 2.9]):
-            times = np.append(phases.points, phases.end_time)
-            assert np.array_equal(phases.end(lam, c), _phase_table(lam, times, c)[:, -1:])
+        grid = np.linspace(0.0, 13.3, 1001)
+        for _, _, times in _segment_times([3.3, 7.1, 2.9], grid):
+            assert np.array_equal(_phase_table(lam, times[-1:], c), _phase_table(lam, times, c)[:, -1:])
 
 
 class TestDivergenceProfile:
@@ -423,6 +450,27 @@ class TestBuildDriver:
             assert driver.horizon == pytest.approx(2.0)
             norms = [np.max(np.abs(np.linalg.eigvalsh(op.mat))) for _, op in driver.segments]
             assert norms == pytest.approx([0.0 if family == "zero" else e * mult] * count)
+
+    @pytest.mark.parametrize("seed", [0, 5, 9])
+    def test_random_driver_is_the_symmetrized_gaussian_bit_for_bit(self, seed):
+        n, norm = 48, 2.5
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = (g + g.conj().T) / 2.0
+        expected = h * (norm / float(np.max(np.abs(np.linalg.eigvalsh(h)))))
+        assert np.array_equal(_random_hermitian(n, norm, np.random.default_rng(seed)).mat, expected)
+
+    def test_random_driver_peak_memory(self):
+        # the N x N complex driver, the operator's copy and its Hermiticity check
+        n = 512
+        _random_hermitian(8, 1.0, np.random.default_rng(5))  # numpy's one-time set-up stays out
+        tracemalloc.start()
+        try:
+            _random_hermitian(n, 1.0, np.random.default_rng(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.25 * 16 * n * n
 
     def test_unknown_family_is_rejected(self):
         with pytest.raises(ValueError):

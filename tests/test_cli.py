@@ -347,9 +347,7 @@ def test_bound_norm_drift_exits_1(tmp_path, monkeypatch, capsys):
     phase_table = qsearch.bound._phase_table
 
     def drifting(*args, **kwargs):
-        table = phase_table(*args, **kwargs)
-        table *= 1.0 + 1e-6  # in place, so a caller's ``out`` drifts too
-        return table
+        return phase_table(*args, **kwargs) * (1.0 + 1e-6)
 
     monkeypatch.setattr(qsearch.bound, "_phase_table", drifting)
     _assert_exit_1_without_report(["bound", "--n", "4"], tmp_path, capsys)

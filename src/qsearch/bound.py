@@ -143,12 +143,6 @@ def build_driver(
     raise ValueError(f"unknown driver family {family!r}")
 
 
-def _check_orthonormal(basis_rows: np.ndarray) -> None:
-    gram = basis_rows.conj() @ basis_rows.T
-    if float(np.max(np.abs(gram - np.eye(basis_rows.shape[0])))) > ORTHONORMAL_TOL:
-        raise ValueError("basis fails the orthonormality check")
-
-
 def sum_oracle_hamiltonians(
     e: float, basis: Sequence[StateVector]
 ) -> HermitianOperator:
@@ -156,15 +150,16 @@ def sum_oracle_hamiltonians(
     rows = np.asarray([w.amps for w in basis])
     if rows.shape[0] != rows.shape[1]:
         raise ValueError(f"need a full basis: {rows.shape[0]} vectors in dimension {rows.shape[1]}")
-    _check_orthonormal(rows)
+    if float(np.max(np.abs(rows.conj() @ rows.T - np.eye(rows.shape[0])))) > ORTHONORMAL_TOL:
+        raise ValueError("basis fails the orthonormality check")
     return HermitianOperator(e * (rows.T @ rows.conj()))
 
 
 @dataclass(frozen=True, eq=False)
 class TrajectorySet:
-    """Per oracle w (row w of the oracle basis) and grid time t_j, only what
-    the bound reads: ``distance[w, j]`` = ||psi_w(t_j) - psi(t_j)||^2, the
-    squared distance to the driver-only reference."""
+    """Per oracle E|w><w|, w = e_w of the standard basis, and grid time t_j,
+    only what the bound reads: ``distance[w, j]`` = ||psi_w(t_j) - psi(t_j)||^2,
+    the squared distance to the driver-only reference."""
 
     grid: np.ndarray
     distance: np.ndarray
@@ -281,7 +276,9 @@ def evolve_trajectories(
     keeping per oracle only its squared distance to the reference.
 
     The reference follows the driver alone; trajectory w follows
-    E|w><w| + driver. The oracle scale E must be finite and positive; the
+    E|w><w| + driver. The oracles are those of the standard basis: the
+    ``oracle_basis`` must be e_0 ... e_{N-1} exactly, in order, and any other
+    raises ``ValueError``. The oracle scale E must be finite and positive; the
     grid must stay within the schedule horizon and increase in even steps
     from 0: within ``UNIFORM_ULPS`` ulps of its end T from
     ``np.linspace(0, T, M)``, whose points are j dt, dt = T / (M - 1), and T.
@@ -289,7 +286,7 @@ def evolve_trajectories(
     Each segment's driver is eigendecomposed once, H_D = V diag(lam) V^dagger
     (one ``eigh`` per segment), and everything is worked in its eigenbasis,
     which V maps back without changing a distance. There the reference is
-    exp(-i lam t) V^dagger psi. With u = V^dagger w,
+    exp(-i lam t) V^dagger psi. With u = V^dagger e_w, the conjugated row w of V,
     E|w><w| + H_D = V (diag(lam) + E u u^dagger) V^dagger, and ``rank_one_eigh``
     gives the eigensystem of the middle factor in O(N^2) as diag(phase) Q with
     Q real. Oracle w's states are then diag(phase) Q exp(-i mu t) c with
@@ -319,10 +316,9 @@ def evolve_trajectories(
     n = initial.dim
     if driver.dim != n:
         raise ValueError(f"dimension mismatch: driver {driver.dim} vs state {n}")
-    rows = np.asarray([w.amps for w in oracle_basis])
-    if rows.shape != (n, n):
-        raise ValueError(f"need a full oracle basis of shape ({n}, {n}), got {rows.shape}")
-    _check_orthonormal(rows)
+    if len(oracle_basis) != n or any(w.dim != n or w.amps[i] != 1.0 or np.count_nonzero(w.amps) != 1
+                                     for i, w in enumerate(oracle_basis)):
+        raise ValueError(f"the oracle basis must be the standard basis e_0 ... e_{n - 1}, in order")
 
     distance = np.zeros((n, grid.shape[0]))
     psi_ref = initial.amps
@@ -334,26 +330,26 @@ def evolve_trajectories(
         evals, vecs = np.linalg.eigh(op.mat)
         points, end, m = times[:-1], times[-1:], hi - lo
         # From here on, the driver's eigenbasis: the reference's states (columns)
-        # exp(-i lam t) V^dagger psi, the oracles u = V^dagger w and the entry
-        # states V^dagger psi_w (rows).
+        # exp(-i lam t) V^dagger psi; per batch, the oracles u = V^dagger e_w, which
+        # are the conjugated rows w of V, and the entry states V^dagger psi_w (rows).
         coeffs = vecs.conj().T @ psi_ref
         ref = _factored_table(evals, points, dt, coeffs)
         ref_end = _phase_table(evals, end, coeffs)
         _check_norms(ref)
         _check_norms(ref_end)
         psi_ref = vecs @ ref_end[:, 0]
-        u = rows @ vecs.conj()
-        entry = states @ vecs.conj()
         size = n * min(block, m)
         table, cols = np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128)
         for start in range(0, n, batch):
             ws = range(start, min(n, start + batch))
-            mu, phase, q = rank_one_eigh(evals, u[start:ws.stop], e)
+            mu, phase, q = rank_one_eigh(evals, vecs[start:ws.stop].conj(), e)
+            # before the hand-off below overwrites these rows; no N x N copy of conj(V)
+            entry = (states[start:ws.stop].conj() @ vecs).conj()
             # Oracle w's eigenvectors are diag(phase_w) Q_w with Q_w real: its states are
             # worked as Q_w exp(-i mu t) c_w, c_w = Q_w^T (conj(phase_w) * entry_w), then
             # rephased; a diagonal unitary keeps their norms. A batch at a time: the c_w,
             # and the states at the segment end, mapped back by V.
-            c = _real_product(q.transpose(0, 2, 1), (phase.conj() * entry[start:ws.stop])[:, :, None])
+            c = _real_product(q.transpose(0, 2, 1), (phase.conj() * entry)[:, :, None])
             last = _real_product(q, _phase_table(mu.ravel(), end, c.ravel()).reshape(c.shape))
             _check_norms(last)
             states[start:ws.stop] = (phase * last[:, :, 0]) @ vecs.T

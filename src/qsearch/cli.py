@@ -140,8 +140,8 @@ def _estimated_bytes(command: str, cfg: argparse.Namespace) -> int:
         return 8 * cfg.n + REPORT_ROW_BYTES * (steps + 1)
     if command == "bound":
         # per segment its N x N operator and 0.6 kB of objects; 200 bytes per N x N
-        # entry for building an operator, the driver's eigensystem, the oracle basis
-        # and the hand-off states; one batch of rank-one updates (measured: 175-190
+        # entry for building an operator, the driver's eigensystem, the N basis states
+        # and the hand-off states; one batch of rank-one updates (measured: 126-142
         # bytes per N x N entry in all at N = 512, 48 per batch entry)
         segments = cfg.segments if cfg.driver == "piecewise" else 1
         return ((24 * cfg.n**2 + 600) * segments + 200 * cfg.n**2

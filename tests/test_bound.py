@@ -21,6 +21,7 @@ from qsearch import (
 
 from qsearch.analog import evolve_closed_form
 from qsearch.bound import (
+    ORACLE_BATCH_ELEMENTS,
     PHASE_BLOCK,
     UNIFORM_ULPS,
     _factored_table,
@@ -144,6 +145,25 @@ class TestEvolveTrajectories:
         driver, grid = DriverSchedule.zero(n, 1.0), uniform_grid(1.0, 4)
         with pytest.raises(ValueError, match="oracle scale"):
             evolve_trajectories(e, standard_basis(n), driver, StateVector.uniform(n), grid)
+
+    @pytest.mark.parametrize("kind", ["permuted", "rotated", "negated"])
+    def test_only_the_standard_basis_in_order_is_accepted(self, kind, monkeypatch):
+        n = 4
+        rng = np.random.default_rng(2)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        basis = {
+            "permuted": [standard_basis(n)[i] for i in (1, 0, 2, 3)],
+            "rotated": [StateVector(q[:, i]) for i in range(n)],
+            "negated": [StateVector(-standard_basis(n)[0].amps)] + standard_basis(n)[1:],
+        }[kind]
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called before the oracle basis was checked")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        driver, grid = DriverSchedule.zero(n, 1.0), uniform_grid(1.0, 4)
+        with pytest.raises(ValueError, match="standard basis"):
+            evolve_trajectories(1.0, basis, driver, StateVector.uniform(n), grid)
 
     def test_grid_must_start_at_zero_and_increase(self):
         n = 3
@@ -271,6 +291,36 @@ class TestKernelAtBenchmarkSize:
         )
         for w in (0, other):
             block = oracle_trajectory(e, StateVector.basis_state(n, w).amps, driver, s.amps, grid)
+            distance = np.sum(np.abs(block - reference) ** 2, axis=1)
+            assert np.max(np.abs(traj.distance[w] - distance)) <= 1e-12
+
+
+class TestOneOracleBatches:
+    """From N = 182 on, ORACLE_BATCH_ELEMENTS // N^2 is at most 1, so each batch
+    holds one oracle: its rank-one vector, entry state and hand-off state are
+    single rows, and its products 1 x N by N x N."""
+
+    def test_matches_dense_per_oracle_eigh_within_a_bounded_peak(self):
+        n, e = 256, 1.0
+        assert ORACLE_BATCH_ELEMENTS // (n * n) == 1
+        horizon = math.pi * math.sqrt(n)
+        driver = build_driver("piecewise", n, e, 1.0, horizon, np.random.default_rng(5), segments=2)
+        basis, s, grid = standard_basis(n), StateVector.uniform(n), uniform_grid(horizon, 64)
+        tracemalloc.start()
+        try:
+            traj = evolve_trajectories(e, basis, driver, s, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the driver's eigensystem, the hand-off states and one oracle's temporaries
+        # (measured: 6.2 N x N complex arrays); an N x N copy of the basis, of the
+        # rank-one vectors or of the entry states per segment takes 9.2
+        assert peak <= 7 * 16 * n * n
+        reference = _propagate_schedule(
+            [(dur, *np.linalg.eigh(op.mat)) for dur, op in driver.segments], s.amps, grid
+        )
+        for w in (0, 1, n - 1):
+            block = oracle_trajectory(e, basis[w].amps, driver, s.amps, grid)
             distance = np.sum(np.abs(block - reference) ** 2, axis=1)
             assert np.max(np.abs(traj.distance[w] - distance)) <= 1e-12
 

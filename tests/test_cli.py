@@ -446,3 +446,16 @@ def test_driver_strength_scan_script_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "no driver beats the floor" in proc.stdout
+
+
+def test_reproduce_claims_script_runs(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_claims.py"), "--outdir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(tmp_path.glob("*.json"))) == 18
+    headers = [line for line in proc.stdout.splitlines() if line.startswith("== ")]
+    assert [h.split(":")[0] for h in headers] == [
+        "== analog evolution", "== digital iteration", "== divergence growth", "== random overlaps"]

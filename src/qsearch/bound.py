@@ -9,17 +9,19 @@ oracle only its squared distance to the reference, then computes D(t),
 checks the integrated and derivative forms of the growth bound, and locates
 the first time the trajectories become distinguishable at a given threshold.
 
-Drivers are piecewise-constant schedules; each segment is propagated exactly
+Drivers are piecewise-constant schedules; each segment is worked exactly
 (up to eigendecomposition error) in its own eigenbasis, so no ODE-stepping
 error pollutes the bound checks. A segment's driver is eigendecomposed once
 (O(N^3)); every oracle term is rank one, so each oracle's eigensystem is a
-rank-one update of the driver's (O(N^2)), and its trajectory costs O(N^2)
-per grid point; the even spacing lets its phase table take one cos/sin
-column per PHASE_BLOCK points. A smooth driver can be approximated by
-refining segments; convergence of that approximation is the caller's
-responsibility. The per-oracle trajectories are independent and could run in
-parallel; they are reduced in a fixed order so results never depend on
-scheduling.
+rank-one update of the driver's (O(N^2)). Each oracle's distance is then
+integrated from the paper's identity dD_w/dt = -2E Im(<psi|w><w|psi_w>),
+whose two amplitudes are sums of N exponentials: O(N) per integration node
+instead of the O(N^2) of a state, and states only at segment ends, where
+they are handed on and check the integral. A smooth driver can be
+approximated by refining segments; convergence of that approximation is the
+caller's responsibility. The per-oracle trajectories are independent and
+could run in parallel; they are reduced in a fixed order so results never
+depend on scheduling.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .linalg import (
     HermitianOperator,
     RankOneHamiltonian,
     StateVector,
+    _cis,
     _phase_table,
     propagate,
     rank_one_eigh,
@@ -43,20 +46,18 @@ from .linalg import (
 ORTHONORMAL_TOL = 1e-10
 
 # Oracles whose eigensystems ``rank_one_eigh`` finds together: the batch's
-# N x N arrays hold about this many entries (512 KiB of float64).
+# N x N arrays hold about this many entries (512 KiB of float64), as do its
+# tables of amplitudes at the integration nodes.
 ORACLE_BATCH_ELEMENTS = 1 << 16
 
-# An oracle's segment is worked in blocks of grid points: its phase table and
-# its states are two N x width complex buffers of about this many entries each
-# (2 MiB apiece). The width, 1024 points at N = 128, keeps a grid of 1001 points
-# in one block; 256- and 128-point blocks were 9% and 21% slower there.
-TIME_BLOCK_ELEMENTS = 1 << 17
+# The Gauss-Legendre rules of the distance integral, (p nodes, largest omega h):
+# each integrates exp(i omega t) over a step [0, h] to within 1e-13 h; the
+# limits are where that error reaches 1e-13, rounded down to three digits. A
+# step beyond the last is cut into equal parts, each within it.
+GAUSS_RULES = ((4, 0.339), (6, 1.68), (8, 4.09), (12, 11.2), (16, 20.2))
 
-# The grid is evenly spaced, so the phase table exp(-i mu t_{aB+b}) is built
-# from two small tables, exp(-i mu t_{aB}) and exp(-i mu b dt), for
-# B = PHASE_BLOCK: about B times fewer cos/sin evaluations. A grid point may
-# lie up to UNIFORM_ULPS ulps of the grid's end from np.linspace's.
-PHASE_BLOCK = 32
+# A grid point may lie up to UNIFORM_ULPS ulps of the grid's end from
+# np.linspace's, whose steps the integration nodes take as exact.
 UNIFORM_ULPS = 16
 
 
@@ -190,50 +191,72 @@ def _segment_times(durations: Sequence[float], grid: np.ndarray):
         lo, t_entry = hi, seg_end
 
 
+def _squared_norms(cols: np.ndarray) -> np.ndarray:
+    """Squared norms of the columns of ``cols``, one matrix or a stack of
+    them, whose last axis must be contiguous: shape cols.shape minus its
+    second-to-last axis."""
+    flat = cols.view(np.float64)  # real and imaginary parts side by side
+    return np.einsum("...ij,...ij->...j", flat, flat).reshape(*cols.shape[:-2], -1, 2).sum(axis=-1)
+
+
 def _check_norms(cols: np.ndarray) -> None:
     """Each column of ``cols`` (states side by side, in one matrix or a stack
     of them) has unit norm to 1e-9, else ``QSearchError``: the propagation
     failed its own check."""
-    flat = cols.view(np.float64)  # real and imaginary parts side by side
-    norms = np.sqrt(np.einsum("...ij,...ij->...j", flat, flat).reshape(-1, 2).sum(axis=1))
-    drift = float(np.max(np.abs(norms - 1.0), initial=0.0))
+    drift = float(np.max(np.abs(np.sqrt(_squared_norms(cols)) - 1.0), initial=0.0))
     if not drift <= 1e-9:  # also catches nan
         raise QSearchError(f"trajectory drifts in norm by {drift!r}")
 
 
-def _factored_table(lam: np.ndarray, times: np.ndarray, dt: float, c: np.ndarray,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """The N x len(times) table exp(-i lam t_j) c for a run of times
-    t_{aB+b} = t_{aB} + b dt, B = PHASE_BLOCK, C-ordered, in the front of the
-    flat buffer ``out`` when one is given.
-
-    Column aB + b is the product of exp(-i lam t_{aB}) c, at the block's own
-    first time, and exp(-i lam b dt) = exp(-i lam dt)^b: per block of B
-    columns, one column of cos/sin and B complex products.
-    """
-    n, count = lam.shape[0], times.shape[0]
-    buf = np.empty((n, count), dtype=np.complex128) if out is None else out[:n * count].reshape(n, count)
-    full, rest = divmod(count, PHASE_BLOCK)
-    heads = _phase_table(lam, times[::PHASE_BLOCK], c)
-    # the powers of exp(-i lam dt) by repeated products: within B - 1 roundings
-    powers = np.empty((n, PHASE_BLOCK), dtype=np.complex128)
-    powers[:, 0] = 1.0
-    powers[:, 1:] = _phase_table(lam, np.array([dt]))
-    np.cumprod(powers, axis=1, out=powers)
-    # a view: the split axis is contiguous within each row
-    body = buf[:, :full * PHASE_BLOCK].reshape(n, full, PHASE_BLOCK)
-    np.multiply(heads[:, :full, None], powers[:, None, :], out=body)
-    np.multiply(heads[:, full:], powers[:, :rest], out=buf[:, full * PHASE_BLOCK:])
-    return buf
+def _node_rule(omega_h: float) -> tuple[int, float]:
+    """(p, parts) for a grid step h whose rate has no frequency above omega:
+    the first rule of ``GAUSS_RULES`` that reaches omega * h = omega_h, on the
+    whole step, else the last rule on each of ``parts`` equal parts of it
+    (inf where omega_h is)."""
+    for p, reach in GAUSS_RULES:
+        if omega_h <= reach:
+            return p, 1.0
+    return p, float(np.ceil(omega_h / reach))
 
 
-def _real_product(q: np.ndarray, cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """q @ cols for a real q and complex cols (one matrix each, or stacks),
-    as one real product on the float64 view of cols, whose last axis must be
-    contiguous; into the front of the flat buffer ``out`` when one is given."""
-    if out is not None:
-        out = out[:cols.size].reshape(cols.shape).view(np.float64)
-    return np.matmul(q, cols.view(np.float64), out=out).view(np.complex128)
+def _gauss_nodes(p: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes in [0, 1] and weights, summing to 1, of the p-node
+    Gauss-Legendre rule repeated on ``parts`` equal parts of [0, 1]."""
+    # imported here: numpy.polynomial adds about 5 ms to every start of the CLI
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(p)
+    nodes = (np.arange(parts)[:, None] + 0.5 * (x + 1.0)) / parts
+    return nodes.ravel(), np.tile(0.5 * w / parts, parts)
+
+
+def _offset_table(lam: np.ndarray, dt: float, block: int, nodes: np.ndarray) -> np.ndarray:
+    """For a spectrum lam, or a stack of them, exp(-i lam (b + x_l) dt) at the
+    nodes x_l of the steps b < block after a head, (..., N, block * len(nodes)),
+    column b * len(nodes) + l: the product of a table over b and one over the
+    nodes, block + len(nodes) cos/sin per row."""
+    offsets = _phase_table(lam, np.arange(block) * dt)[..., None] * _phase_table(lam, nodes * dt)[..., None, :]
+    return offsets.reshape(lam.shape + (-1,))
+
+
+def _weighted_rates(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_l weights_l Im(conj(a_l) b_l) over each run of len(weights)
+    entries along the last axis of a and b, which must be contiguous: from
+    their float64 views, Im(conj(a) b) = Re a Im b - Im a Re b."""
+    a, b = a.view(np.float64), b.view(np.float64)
+    rates = a[..., ::2] * b[..., 1::2]
+    rates -= a[..., 1::2] * b[..., ::2]
+    return rates.reshape(rates.shape[:-1] + (-1, weights.shape[0])) @ weights
+
+
+def _oracle_states(q: np.ndarray, phase: np.ndarray, mu: np.ndarray, c: np.ndarray,
+                   times: np.ndarray) -> np.ndarray:
+    """A batch of oracles' states diag(phase_b) Q_b exp(-i mu_b t) c_b in the
+    driver's eigenbasis, (B, N, len(times)), from ``rank_one_eigh``'s stacks:
+    Q_b is real, so the product is a real one on the float64 view of the
+    phase table."""
+    table = _phase_table(mu, times, c)
+    return phase[..., None] * np.matmul(q, table.view(np.float64)).view(np.complex128)
 
 
 def _propagate_schedule(
@@ -275,7 +298,7 @@ def evolve_trajectories(
     """Evolve the reference and every per-oracle trajectory over the grid,
     keeping per oracle only its squared distance to the reference.
 
-    The reference follows the driver alone; trajectory w follows
+    The reference psi follows the driver alone; trajectory psi_w follows
     E|w><w| + driver. The oracles are those of the standard basis: the
     ``oracle_basis`` must be e_0 ... e_{N-1} exactly, in order, and any other
     raises ``ValueError``. The oracle scale E must be finite and positive; the
@@ -283,19 +306,32 @@ def evolve_trajectories(
     from 0: within ``UNIFORM_ULPS`` ulps of its end T from
     ``np.linspace(0, T, M)``, whose points are j dt, dt = T / (M - 1), and T.
 
+    The distance D_w = ||psi_w - psi||^2 is integrated from the paper's
+    identity: whatever the driver, its terms cancel in d/dt <psi|psi_w>, so
+    dD_w/dt = -2E Im(conj(a_w) b_w) with a_w = <w|psi> and b_w = <w|psi_w>.
     Each segment's driver is eigendecomposed once, H_D = V diag(lam) V^dagger
-    (one ``eigh`` per segment), and everything is worked in its eigenbasis,
-    which V maps back without changing a distance. There the reference is
-    exp(-i lam t) V^dagger psi. With u = V^dagger e_w, the conjugated row w of V,
-    E|w><w| + H_D = V (diag(lam) + E u u^dagger) V^dagger, and ``rank_one_eigh``
-    gives the eigensystem of the middle factor in O(N^2) as diag(phase) Q with
-    Q real. Oracle w's states are then diag(phase) Q exp(-i mu t) c with
-    c = Q^T (conj(phase) * V^dagger psi_w): per block of grid points, a phase
-    table (``_factored_table``, from the grid's own points every PHASE_BLOCK
-    and the step dt) and one real N x N by N x 2M product (O(N^2 M) for M
-    grid points), checked for norm drift, rephased and reduced at once to the
-    distances to the reference. Only the state at the segment end, built
-    directly from its exact time, is kept, mapped back by V.
+    (one ``eigh`` per segment). With r = V^dagger psi at the segment's entry,
+    a_w(t) = sum_i V_wi r_i exp(-i lam_i t). With u = V^dagger e_w, the
+    conjugated row w of V, E|w><w| + H_D = V (diag(lam) + E u u^dagger)
+    V^dagger, and ``rank_one_eigh`` gives the eigensystem of the middle factor
+    in O(N^2) as diag(phase) Q with Q real; since V_wi phase_i = |u_i|,
+    b_w(t) = sum_k g_k c_k exp(-i mu_k t) with g = Q^T |u| and
+    c = Q^T (conj(phase) * V^dagger psi_w). Both are sums of N terms, so the
+    rate costs O(N) per time where a state costs O(N^2).
+
+    Each grid step is integrated by a Gauss-Legendre rule chosen from omega dt
+    (``GAUSS_RULES``), omega = (lam_max - lam_min) + E bounding the rate's
+    frequencies |mu_k - lam_i|; a segment's end inside a step splits the step,
+    with one rule per side. On the even grid the nodes are t_{aB} + (b + x_l) dt
+    for the grid's own points t_{aB}, so each sum is a table at those heads
+    times a fixed table of offsets: one small complex product per batch of
+    oracles, O(N M p) per oracle for M points and p nodes per step. At each
+    segment's end the states are built from its exact time, checked for
+    norm drift and handed to the next segment, mapped back by V; there the
+    integral must match ||psi_w - psi||^2 from them, else ``QSearchError``,
+    and the next segment starts from that value. Where a step would need
+    more than N parts, each taking 16 nodes, a state's O(N^2) is the smaller
+    cost, and the segment's distances are read off its states instead.
     """
     if not (math.isfinite(e) and e > 0.0):
         raise ValueError(f"oracle scale must be positive, got {e}")
@@ -312,7 +348,6 @@ def evolve_trajectories(
             np.abs(grid - np.linspace(0.0, grid[-1], steps + 1)) <= UNIFORM_ULPS * np.spacing(grid[-1]))):
         raise ValueError(f"grid must increase in even steps: within {UNIFORM_ULPS} ulps of its end "
                          f"from np.linspace(0, end, {steps + 1})")
-    dt = grid[-1] / steps if steps else 0.0
     n = initial.dim
     if driver.dim != n:
         raise ValueError(f"dimension mismatch: driver {driver.dim} vs state {n}")
@@ -321,49 +356,95 @@ def evolve_trajectories(
         raise ValueError(f"the oracle basis must be the standard basis e_0 ... e_{n - 1}, in order")
 
     distance = np.zeros((n, grid.shape[0]))
+    if not steps:
+        return TrajectorySet(grid=grid.copy(), distance=distance, oracle_scale=float(e))
+    dt = grid[-1] / steps
     psi_ref = initial.amps
     states = np.repeat(initial.amps[None, :], n, axis=0)  # row w: trajectory w at the segment entry
-    batch = max(1, ORACLE_BATCH_ELEMENTS // (n * n))
-    block = max(PHASE_BLOCK, TIME_BLOCK_ELEMENTS // n // PHASE_BLOCK * PHASE_BLOCK)
+    entry_distance = np.zeros(n)  # D_w at the segment entry
+    batch = min(n, max(1, ORACLE_BATCH_ELEMENTS // (n * n)))
     durations = [dur for dur, _ in driver.segments]
     for (lo, hi, times), (_, op) in zip(_segment_times(durations, grid), driver.segments):
         evals, vecs = np.linalg.eigh(op.mat)
-        points, end, m = times[:-1], times[-1:], hi - lo
-        # From here on, the driver's eigenbasis: the reference's states (columns)
-        # exp(-i lam t) V^dagger psi; per batch, the oracles u = V^dagger e_w, which
-        # are the conjugated rows w of V, and the entry states V^dagger psi_w (rows).
+        # Worked up to the segment's end, or to the grid's last point where the grid
+        # ends in this segment. Its steps, from its entry: to its first grid point,
+        # `count` whole steps between grid points, and from the last to its end.
+        last = hi == grid.shape[0]
+        points = times[:-1]
+        end = points[-1] if last else times[-1]
+        cut = [(0.0, points[0] if hi > lo else end)] + ([(points[-1], end)] if hi > lo and not last else [])
+        firsts, stops = np.array(cut).T
+        lengths = stops - firsts
+        count = max(hi - lo - 1, 0)
+        # From here on, the driver's eigenbasis. The reference at the segment end.
         coeffs = vecs.conj().T @ psi_ref
-        ref = _factored_table(evals, points, dt, coeffs)
-        ref_end = _phase_table(evals, end, coeffs)
-        _check_norms(ref)
+        ref_end = _phase_table(evals, np.array([end]), coeffs)
         _check_norms(ref_end)
         psi_ref = vecs @ ref_end[:, 0]
-        size = n * min(block, m)
-        table, cols = np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128)
+        # the rate's frequencies mu_k - lam_i lie within the spread of lam plus E
+        p, parts = _node_rule((evals[-1] - evals[0] + e) * dt)
+        integrated = parts <= n
+        if integrated:
+            nodes, weights = _gauss_nodes(p, int(parts))
+            weights *= -2.0 * e  # the rate's factor
+            # The whole steps in runs that keep a batch's tables near
+            # ORACLE_BATCH_ELEMENTS entries, each from heads every `block` steps:
+            # about sqrt(run) keeps the heads' and the offsets' cos/sin fewest.
+            run = max(1, ORACLE_BATCH_ELEMENTS // (batch * nodes.shape[0]))
+            block = max(1, round(math.sqrt(min(run, count))))
+            run = max(block, run // block * block)
+            heads = points[:count:block]
+            lam_heads, lam_offsets = _cis(heads[:, None], evals), _offset_table(evals, dt, block, nodes)
         for start in range(0, n, batch):
-            ws = range(start, min(n, start + batch))
-            mu, phase, q = rank_one_eigh(evals, vecs[start:ws.stop].conj(), e)
-            # before the hand-off below overwrites these rows; no N x N copy of conj(V)
-            entry = (states[start:ws.stop].conj() @ vecs).conj()
-            # Oracle w's eigenvectors are diag(phase_w) Q_w with Q_w real: its states are
-            # worked as Q_w exp(-i mu t) c_w, c_w = Q_w^T (conj(phase_w) * entry_w), then
-            # rephased; a diagonal unitary keeps their norms. A batch at a time: the c_w,
-            # and the states at the segment end, mapped back by V.
-            c = _real_product(q.transpose(0, 2, 1), (phase.conj() * entry)[:, :, None])
-            last = _real_product(q, _phase_table(mu.ravel(), end, c.ravel()).reshape(c.shape))
-            _check_norms(last)
-            states[start:ws.stop] = (phase * last[:, :, 0]) @ vecs.T
-            for wi, mu_w, phase_w, q_w, c_w in zip(ws, mu, phase, q, c[:, :, 0]):
-                for j in range(0, m, block):
-                    count = min(block, m - j)
-                    state = _real_product(q_w, _factored_table(mu_w, points[j:j + count], dt, c_w, out=table),
-                                          out=cols)
-                    _check_norms(state)
-                    state *= phase_w[:, None]
-                    state -= ref[:, j:j + count]  # now the differences from the reference
-                    diff = state.view(np.float64)
-                    distance[wi, lo + j:lo + j + count] = (
-                        np.einsum("ij,ij->j", diff, diff).reshape(-1, 2).sum(axis=1))
+            ws = slice(start, min(n, start + batch))
+            u = vecs[ws].conj()
+            mu, phase, q = rank_one_eigh(evals, u, e)
+            # c = Q^T (conj(phase) * V^dagger psi_w) and g = Q^T |u| in one real product;
+            # the entry states' rows read before the hand-off below overwrites them
+            entry = phase.conj() * (states[ws].conj() @ vecs).conj()
+            rhs = np.empty(u.shape + (3,))
+            rhs[:, :, :2] = entry.view(np.float64).reshape(u.shape + (2,))
+            np.abs(u, out=rhs[:, :, 2])
+            cg = np.matmul(q.transpose(0, 2, 1), rhs)
+            c = cg[:, :, 0] + 1j * cg[:, :, 1]
+            # the states at the segment end, the distances there, and the hand-off
+            end_states = _oracle_states(q, phase, mu, c, np.array([end]))
+            _check_norms(end_states)
+            end_distance = _squared_norms(end_states - ref_end)[:, 0]
+            states[ws] = end_states[:, :, 0] @ vecs.T
+            row = distance[ws, lo:hi]
+            if not integrated:
+                chunk = max(1, ORACLE_BATCH_ELEMENTS // (len(u) * n))
+                for j in range(0, hi - lo, chunk):
+                    at = points[j:j + chunk]
+                    row[:, j:j + chunk] = _squared_norms(
+                        _oracle_states(q, phase, mu, c, at) - _phase_table(evals, at, coeffs))
+                entry_distance[ws] = end_distance
+                continue
+            # the sums a_w = <w|psi> and b_w = <w|psi_w>: coefficients V_wi r_i and g_k c_k;
+            # the steps' integrals of dD_w/dt = -2E Im(conj(a_w) b_w) in the order taken
+            alpha, beta = vecs[ws] * coeffs, cg[:, :, 2] * c
+            at = (firsts[:, None] + lengths[:, None] * nodes).ravel()
+            edges = lengths * _weighted_rates(alpha @ _phase_table(evals, at),
+                                              np.matmul(beta[:, None, :], _phase_table(mu, at))[:, 0], weights)
+            reached = entry_distance[ws] + edges[:, 0]
+            if hi > lo:  # the whole steps, summed in place from the first grid point on
+                row[:, 0] = reached
+                mu_offsets = _offset_table(mu, dt, block, nodes)
+                for j in range(0, count, run):
+                    h = slice(j // block, (j + run) // block)
+                    rates = _weighted_rates(np.matmul(lam_heads[h] * alpha[:, None, :], lam_offsets),
+                                            np.matmul(_cis(mu[:, None, :], heads[h, None]) * beta[:, None, :],
+                                                      mu_offsets), weights)
+                    row[:, j + 1:j + run + 1] = dt * rates.reshape(len(u), -1)[:, :count - j]
+                np.cumsum(row, axis=1, out=row)
+                reached = row[:, -1] + edges[:, 1:].sum(axis=1)
+            drift = float(np.max(np.abs(reached - end_distance)))
+            if not drift <= 1e-9 * (1.0 + 2.0 * e * end):  # also catches nan
+                raise QSearchError(f"the integrated distance misses the states' by {drift!r}")
+            entry_distance[ws] = end_distance
+        if last:
+            break
 
     return TrajectorySet(grid=grid.copy(), distance=distance, oracle_scale=float(e))
 

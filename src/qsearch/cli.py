@@ -318,9 +318,8 @@ def cmd_bound(cfg: argparse.Namespace) -> dict:
     n, e = cfg.n, cfg.energy
     t_m_equiv = math.pi * math.sqrt(n) / (2.0 * e)
     horizon = cfg.horizon or 2.0 * t_m_equiv
-    # per grid point N distances and the reference's N amplitudes and, up to a
-    # time block of bound.TIME_BLOCK_ELEMENTS / N points, an oracle's phase table and
-    # states (measured: 56.0-56.2 N bytes below a block, 24.4 N above), and its report row
+    # per grid point N distances and a batch's running integrals, charged at 56 N
+    # bytes (measured: 9 N), and its report row
     grid = _time_grid(cfg.dt or t_m_equiv / 500.0, horizon, _estimated_bytes("bound", cfg),
                       56 * n + REPORT_ROW_BYTES)
     # No eigenvalue exceeds E * (mult + 1): past a double, a phase is inf and a state nan.

@@ -352,17 +352,25 @@ def propagate(evals: np.ndarray, vecs: np.ndarray, psi: np.ndarray, times) -> np
 
 
 def _phase_table(lam: np.ndarray, times: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-    """The N x len(times) table exp(-i lam_k t_j) c_k (c = 1 when None)."""
-    # theta = lam x times goes in the imaginary part of one complex buffer, then
-    # cos and sin: the same bits as np.exp(-1j * theta), faster
-    table = np.empty((lam.shape[0], times.shape[0]), dtype=np.complex128)
+    """The table exp(-i lam_k t_j) c_k, C-ordered, of shape lam.shape +
+    times.shape (c = 1 when None, else of lam's shape): N x len(times) for one
+    spectrum, or one such table per row of a stack of spectra."""
+    table = _cis(np.asarray(lam)[..., None], times)
+    if c is not None:
+        table *= c[..., None]
+    return table
+
+
+def _cis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """exp(-i a b) for broadcastable real arrays a and b, C-ordered."""
+    # theta = a b goes in the imaginary part of one complex buffer, then cos and
+    # sin: the same bits as np.exp(-1j * theta), faster
+    table = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.complex128)
     theta = table.imag
-    np.multiply.outer(lam, times, out=theta)
+    np.multiply(a, b, out=theta)
     np.cos(theta, out=table.real)
     np.sin(theta, out=theta)
     np.negative(theta, out=theta)
-    if c is not None:
-        table *= c[:, None]
     return table
 
 

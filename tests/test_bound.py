@@ -21,17 +21,19 @@ from qsearch import (
 
 from qsearch.analog import evolve_closed_form
 from qsearch.bound import (
+    GAUSS_RULES,
     ORACLE_BATCH_ELEMENTS,
-    PHASE_BLOCK,
     UNIFORM_ULPS,
-    _factored_table,
+    _gauss_nodes,
+    _node_rule,
+    _offset_table,
     _propagate_schedule,
     _random_hermitian,
     _segment_times,
     build_driver,
     oracle_trajectory,
 )
-from qsearch.linalg import _phase_table
+from qsearch.linalg import _cis, _phase_table
 
 from conftest import haar_state, random_hermitian
 
@@ -201,8 +203,9 @@ class TestEvolveTrajectories:
 
     def test_peak_memory_stays_below_a_quarter_of_the_full_states(self):
         # N full (M, N) blocks would take 16 N^2 M bytes (62.5 MiB at M = 1001);
-        # per grid point, N distances and, while an oracle is propagated, the
-        # reference's and its states and the phase table take 56 N bytes
+        # per grid point, the N distances and a batch's running integrals
+        # (measured: 9.0 N bytes from 1001 to 4001 points; 56 N when each oracle's
+        # states and phase table were built at every point)
         n = 64
         driver = build_driver("random-dense", n, 1.0, 1.0, 10.0, np.random.default_rng(0))
         basis, s = standard_basis(n), StateVector.uniform(n)
@@ -217,7 +220,7 @@ class TestEvolveTrajectories:
 
         small, large = peak(1001), peak(4001)
         assert small < 16 * n * n * 1001 / 4
-        assert (large - small) / 3000 <= 56 * n
+        assert (large - small) / 3000 <= 11.25 * n
 
 
 class TestRankOneUpdatePath:
@@ -275,10 +278,56 @@ class TestRankOneUpdatePath:
             assert np.max(np.abs(traj.distance[w] - distance)) <= 1e-12
 
 
+    @pytest.mark.parametrize("mults", [(100.0,) * 10, (100.0, 1.0)])
+    def test_strong_drivers_on_a_coarse_grid(self, mults):
+        # spectral norm 100 E on 104 points: omega dt is about 35, so each whole step
+        # takes two parts of the 16-node rule; segment ends fall inside steps. Beside a
+        # driver of norm E, whose steps take one rule, the hand-off joins the two.
+        n, e = 32, 1.0
+        horizon = math.pi * math.sqrt(n)
+        rng = np.random.default_rng(3)
+        ops = [_random_hermitian(n, mult * e, rng) for mult in mults]
+        driver = DriverSchedule.piecewise(ops, [horizon / len(ops)] * len(ops))
+        s, grid = StateVector.uniform(n), uniform_grid(horizon, 103)
+        dt = grid[1]
+        rules = [_node_rule((np.ptp(np.linalg.eigvalsh(op.mat)) + e) * dt) for op in ops]
+        assert (16, 2.0) in rules and (mults[-1] == 100.0 or rules[-1][1] == 1.0)
+        for _, _, times in list(_segment_times([dur for dur, _ in driver.segments], grid))[:-1]:
+            assert 0.0 < times[-1] - times[-2] < dt  # the segment's end splits a step
+        traj = evolve_trajectories(e, standard_basis(n), driver, s, grid)
+        reference = _propagate_schedule(
+            [(dur, *np.linalg.eigh(op.mat)) for dur, op in driver.segments], s.amps, grid
+        )
+        for w, wvec in enumerate(standard_basis(n)):
+            block = oracle_trajectory(e, wvec.amps, driver, s.amps, grid)
+            distance = np.sum(np.abs(block - reference) ** 2, axis=1)
+            assert np.max(np.abs(traj.distance[w] - distance)) <= 1e-12
+
+    def test_steps_past_n_parts_read_the_states(self):
+        # omega dt above 100 at N = 4 would take more than 4 parts: the first segment's
+        # distances come from its states; the second is weak enough to be integrated
+        n, e = 4, 1.0
+        rng = np.random.default_rng(8)
+        ops = [_random_hermitian(n, 100.0, rng), _random_hermitian(n, 0.01, rng)]
+        driver = DriverSchedule.piecewise(ops, [1.0, 1.0])
+        s, grid = StateVector.uniform(n), uniform_grid(2.0, 3)
+        rules = [_node_rule((np.ptp(np.linalg.eigvalsh(op.mat)) + e) * grid[1]) for op in ops]
+        assert rules[0][1] > n and rules[1][1] == 1.0
+        traj = evolve_trajectories(e, standard_basis(n), driver, s, grid)
+        reference = _propagate_schedule(
+            [(dur, *np.linalg.eigh(op.mat)) for dur, op in driver.segments], s.amps, grid
+        )
+        for w, wvec in enumerate(standard_basis(n)):
+            block = oracle_trajectory(e, wvec.amps, driver, s.amps, grid)
+            distance = np.sum(np.abs(block - reference) ** 2, axis=1)
+            assert np.max(np.abs(traj.distance[w] - distance)) <= 1e-12
+
+
 class TestKernelAtBenchmarkSize:
     """The per-oracle kernel at the N and grid the benchmark runs (1001 points
-    to 2 t_m), where the factored phase table and the time blocks are in use:
-    oracle 0 and one other against the dense per-oracle eigh."""
+    to 2 t_m), where the steps between grid points are integrated from tables
+    at heads and offsets: oracle 0 and one other against the dense per-oracle
+    eigh."""
 
     @pytest.mark.parametrize("n, family, other", [(128, "random-dense", 77), (64, "piecewise", 41)])
     def test_matches_dense_per_oracle_eigh(self, n, family, other):
@@ -333,11 +382,13 @@ def segment_points(points, durations):
 
 
 class TestSegmentPhases:
-    """The factored phase table against the direct cos/sin table. Per entry of
-    unit-size c it may differ by B + 4 roundings, from the powers
-    exp(-i lam dt)^b and the products, plus the phase of twice UNIFORM_ULPS
-    ulps of the grid's end: a block's first point and a later one may each
-    leave the even spacing by that much."""
+    """The factored tables of the integration nodes against the direct cos/sin
+    table. A node x_l of the step b after head t_a is at t_a + (b + x_l) dt,
+    the product of three phases, where the direct table takes the grid's own
+    point t_{a+b} + x_l dt: per entry of unit-size c they may differ by 6
+    roundings, by the rounding of the times, 3 ulps of the grid's end, and by
+    the phase of twice UNIFORM_ULPS ulps of it, which a head and a later point
+    may each leave the even spacing by."""
 
     @staticmethod
     def spectrum(n):
@@ -347,23 +398,26 @@ class TestSegmentPhases:
         return lam, c
 
     def assert_factored_matches_direct(self, points, dt, end, lam, c):
-        direct = _phase_table(lam, points, c)
+        nodes, _ = _gauss_nodes(6, 2)
+        block, width = 5, nodes.shape[0]
+        count = points.shape[0] - 1
+        heads = points[:count:block]
         eps = np.finfo(np.float64).eps
-        tol = (PHASE_BLOCK + 4) * eps + 2 * UNIFORM_ULPS * np.spacing(end) * np.max(np.abs(lam))
-        m = points.shape[0]
-        assert np.max(np.abs(_factored_table(lam, points, dt, c) - direct)) <= tol
-        # a later block of a length that is no multiple of B, into the front of a buffer
-        start, count = 2 * PHASE_BLOCK, m - 2 * PHASE_BLOCK - 5
-        buf = np.zeros(lam.shape[0] * m, dtype=np.complex128)
-        part = _factored_table(lam, points[start:start + count], dt, c, out=buf)
-        assert part.shape == (lam.shape[0], count) and np.shares_memory(part, buf)
-        assert np.max(np.abs(part - direct[:, start:start + count])) <= tol
+        tol = 6 * eps + (2 * UNIFORM_ULPS + 3) * np.spacing(end) * np.max(np.abs(lam))
+        # one spectrum and a stack of two, the second the first reversed
+        for lam_, c_ in ((lam, c), (np.stack((lam, lam[::-1])), np.stack((c, c[::-1])))):
+            table = (_cis(lam_[..., None, :], heads[:, None]) * c_[..., None, :]) @ _offset_table(lam_, dt, block, nodes)
+            table = table.reshape(lam_.shape[:-1] + (-1, width))[..., :count, :]
+            at = points[:count, None] + nodes * dt
+            direct = np.einsum("...i,...ijl->...jl", c_, _cis(lam_[..., :, None, None], at))
+            assert table.shape == direct.shape
+            assert np.max(np.abs(table - direct)) <= tol
 
-    @pytest.mark.parametrize("count", [1001, 1000, 4 * PHASE_BLOCK + 7])
+    @pytest.mark.parametrize("count", [1001, 1000, 135])
     def test_one_segment_of_any_length(self, count):
         lam, c = self.spectrum(16)
         dt, (points,) = segment_points(count, [4.0 * math.pi])
-        assert points.shape[0] % PHASE_BLOCK != 0
+        assert (points.shape[0] - 1) % 5 != 0
         self.assert_factored_matches_direct(points, dt, 4.0 * math.pi, lam, c)
 
     def test_segments_that_start_away_from_zero(self):
@@ -380,6 +434,39 @@ class TestSegmentPhases:
         grid = np.linspace(0.0, 13.3, 1001)
         for _, _, times in _segment_times([3.3, 7.1, 2.9], grid):
             assert np.array_equal(_phase_table(lam, times[-1:], c), _phase_table(lam, times, c)[:, -1:])
+
+
+class TestNodeRule:
+    """``GAUSS_RULES`` at its edges: each rule integrates exp(i omega t) over a
+    step [0, h] to within 1e-13 h up to its omega h, and a step past the last
+    is cut into parts that each stay within it."""
+
+    @staticmethod
+    def error(omega_h, nodes, weights):
+        exact = (np.exp(1j * omega_h) - 1.0) / (1j * omega_h)  # the mean of exp(i omega_h x) on [0, 1]
+        return abs(np.sum(weights * np.exp(1j * omega_h * nodes)) - exact)
+
+    @pytest.mark.parametrize("p, reach", GAUSS_RULES)
+    def test_each_rule_holds_1e_13_up_to_its_reach(self, p, reach):
+        assert _node_rule(reach) == (p, 1.0)
+        nodes, weights = _gauss_nodes(p, 1)
+        assert nodes.shape == (p,) and np.all((nodes > 0.0) & (nodes < 1.0))
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
+        assert max(self.error(x, nodes, weights) for x in np.linspace(reach / 100, reach, 200)) <= 1e-13
+
+    def test_the_next_rule_takes_over_just_past_a_reach(self):
+        for (_, reach), (p_next, _) in zip(GAUSS_RULES, GAUSS_RULES[1:]):
+            assert _node_rule(reach * (1 + 1e-12)) == (p_next, 1.0)
+
+    def test_a_step_just_past_the_last_reach_is_split(self):
+        p, reach = GAUSS_RULES[-1]
+        assert _node_rule(reach * (1 + 1e-12)) == (p, 2.0)
+        assert _node_rule(2 * reach) == (p, 2.0) and _node_rule(2 * reach * (1 + 1e-12)) == (p, 3.0)
+        assert _node_rule(math.inf) == (p, math.inf)
+        for parts in (2, 3):
+            nodes, weights = _gauss_nodes(p, parts)
+            assert np.all(np.diff(nodes) > 0.0) and math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
+            assert self.error(parts * reach, nodes, weights) <= 1e-13
 
 
 class TestDivergenceProfile:

@@ -333,35 +333,46 @@ def test_analog_counts_its_n_part_and_grid_rows_against_one_budget(monkeypatch, 
     assert "this run needs about 31 MiB, more than the 16 MiB budget" in capsys.readouterr().err
 
 
-def _assert_exit_1_without_report(argv, tmp_path, capsys):
+def _assert_exit_1_without_report(argv, tmp_path, capsys, message=""):
     out = tmp_path / "report.json"
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith(f"qsearch {argv[0]}:")
+    assert message in err.splitlines()[-1]
     assert not out.exists()
 
 
 def test_bound_norm_drift_exits_1(tmp_path, monkeypatch, capsys):
-    # every phase table of the reference and the oracles is built here
+    # the reference's state at the segment end is the first table built here: its check fires
     phase_table = qsearch.bound._phase_table
 
     def drifting(*args, **kwargs):
         return phase_table(*args, **kwargs) * (1.0 + 1e-6)
 
     monkeypatch.setattr(qsearch.bound, "_phase_table", drifting)
-    _assert_exit_1_without_report(["bound", "--n", "4"], tmp_path, capsys)
+    _assert_exit_1_without_report(["bound", "--n", "4"], tmp_path, capsys, "drifts in norm")
 
 
 def test_bound_oracle_norm_drift_exits_1(tmp_path, monkeypatch, capsys):
-    # the real products of the oracles alone drift: their own check fires
-    product = qsearch.bound._real_product
+    # the oracles' eigenvectors alone drift: the check on their hand-off states fires
+    eigh = qsearch.bound.rank_one_eigh
 
     def drifting(*args, **kwargs):
-        return product(*args, **kwargs) * (1.0 + 1e-6)
+        mu, phase, q = eigh(*args, **kwargs)
+        return mu, phase, q * (1.0 + 1e-6)
 
-    monkeypatch.setattr(qsearch.bound, "_real_product", drifting)
-    _assert_exit_1_without_report(["bound", "--n", "4"], tmp_path, capsys)
+    monkeypatch.setattr(qsearch.bound, "rank_one_eigh", drifting)
+    _assert_exit_1_without_report(["bound", "--n", "4"], tmp_path, capsys, "drifts in norm")
+
+
+@pytest.mark.parametrize("driver", ["paper", "piecewise"])
+def test_bound_integral_drift_exits_1(driver, tmp_path, monkeypatch, capsys):
+    # one node per step, the midpoint rule: the distance integrated to a segment's end
+    # misses the one its states give by about 1e-6
+    monkeypatch.setattr(qsearch.bound, "GAUSS_RULES", ((1, 20.2),))
+    _assert_exit_1_without_report(["bound", "--n", "4", "--driver", driver], tmp_path, capsys,
+                                  "integrated distance misses")
 
 
 def test_grover_norm_drift_exits_1(tmp_path, monkeypatch, capsys):

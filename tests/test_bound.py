@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import qsearch.bound
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -257,6 +258,32 @@ class TestRankOneUpdatePath:
         evolve_trajectories(1.0, standard_basis(n), driver, StateVector.uniform(n), uniform_grid(5.0, 50))
         assert len(count) == calls
 
+    def test_a_grid_ending_before_the_horizon_walks_every_segment(self, monkeypatch):
+        # the grid ends inside the fourth of ten segments: its distances are integrated
+        # to the grid's last point, and every segment is still eigendecomposed and
+        # hands its states on
+        n, e = 16, 1.0
+        driver = build_driver("piecewise", n, e, 1.0, 10.0, np.random.default_rng(2), segments=10)
+        s, grid = StateVector.uniform(n), np.linspace(0.0, 3.5, 71)
+        count = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            count.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        traj = evolve_trajectories(e, standard_basis(n), driver, s, grid)
+        assert len(count) == 10
+        monkeypatch.undo()
+        reference = _propagate_schedule(
+            [(dur, *np.linalg.eigh(op.mat)) for dur, op in driver.segments], s.amps, grid
+        )
+        for w, wvec in enumerate(standard_basis(n)):
+            block = oracle_trajectory(e, wvec.amps, driver, s.amps, grid)
+            distance = np.sum(np.abs(block - reference) ** 2, axis=1)
+            assert np.max(np.abs(traj.distance[w] - distance)) <= 1e-12
+
     def test_piecewise_segments_of_few_grid_points(self):
         # segment ends fall half-way between points 0.1 apart: segments of 0, 1, 2, 31
         # (one short of a phase block) and 33 (one past) grid points
@@ -279,12 +306,14 @@ class TestRankOneUpdatePath:
 
 
     @pytest.mark.parametrize("mults", [(100.0,) * 10, (100.0, 1.0)])
-    def test_strong_drivers_on_a_coarse_grid(self, mults):
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_strong_drivers_on_a_coarse_grid(self, n, mults):
         # spectral norm 100 E on 104 points: omega dt is about 35, so each whole step
         # takes two parts of the 16-node rule; segment ends fall inside steps. Beside a
-        # driver of norm E, whose steps take one rule, the hand-off joins the two.
-        n, e = 32, 1.0
-        horizon = math.pi * math.sqrt(n)
+        # driver of norm E, whose steps take one rule, the hand-off joins the two. At
+        # N = 64 the 32 nodes a step are integrated; at N = 32, past N / 2 nodes, the
+        # distances are read off the states. Every (N / 32)-th oracle is checked.
+        e, horizon = 1.0, math.pi * math.sqrt(32)
         rng = np.random.default_rng(3)
         ops = [_random_hermitian(n, mult * e, rng) for mult in mults]
         driver = DriverSchedule.piecewise(ops, [horizon / len(ops)] * len(ops))
@@ -292,8 +321,29 @@ class TestRankOneUpdatePath:
         dt = grid[1]
         rules = [_node_rule((np.ptp(np.linalg.eigvalsh(op.mat)) + e) * dt) for op in ops]
         assert (16, 2.0) in rules and (mults[-1] == 100.0 or rules[-1][1] == 1.0)
+        assert (2 * 16 * 2 <= n) == (n == 64)
         for _, _, times in list(_segment_times([dur for dur, _ in driver.segments], grid))[:-1]:
             assert 0.0 < times[-1] - times[-2] < dt  # the segment's end splits a step
+        traj = evolve_trajectories(e, standard_basis(n), driver, s, grid)
+        reference = _propagate_schedule(
+            [(dur, *np.linalg.eigh(op.mat)) for dur, op in driver.segments], s.amps, grid
+        )
+        for w in range(0, n, n // 32):
+            block = oracle_trajectory(e, StateVector.basis_state(n, w).amps, driver, s.amps, grid)
+            distance = np.sum(np.abs(block - reference) ** 2, axis=1)
+            assert np.max(np.abs(traj.distance[w] - distance)) <= 1e-12
+
+    def test_steps_past_half_n_nodes_read_the_states(self):
+        # omega dt above 20.2 at N = 16 takes at least 32 nodes a step, past N / 2: the
+        # first segment's distances come from its states; the second is weak enough
+        # for the 4-node rule and is integrated from the first's hand-off
+        n, e = 16, 1.0
+        rng = np.random.default_rng(8)
+        ops = [_random_hermitian(n, 100.0, rng), _random_hermitian(n, 0.01, rng)]
+        driver = DriverSchedule.piecewise(ops, [1.0, 1.0])
+        s, grid = StateVector.uniform(n), uniform_grid(2.0, 9)
+        rules = [_node_rule((np.ptp(np.linalg.eigvalsh(op.mat)) + e) * grid[1]) for op in ops]
+        assert [2 * p * parts <= n for p, parts in rules] == [False, True]
         traj = evolve_trajectories(e, standard_basis(n), driver, s, grid)
         reference = _propagate_schedule(
             [(dur, *np.linalg.eigh(op.mat)) for dur, op in driver.segments], s.amps, grid
@@ -303,16 +353,20 @@ class TestRankOneUpdatePath:
             distance = np.sum(np.abs(block - reference) ** 2, axis=1)
             assert np.max(np.abs(traj.distance[w] - distance)) <= 1e-12
 
-    def test_steps_past_n_parts_read_the_states(self):
-        # omega dt above 100 at N = 4 would take more than 4 parts: the first segment's
-        # distances come from its states; the second is weak enough to be integrated
-        n, e = 4, 1.0
-        rng = np.random.default_rng(8)
-        ops = [_random_hermitian(n, 100.0, rng), _random_hermitian(n, 0.01, rng)]
-        driver = DriverSchedule.piecewise(ops, [1.0, 1.0])
-        s, grid = StateVector.uniform(n), uniform_grid(2.0, 3)
-        rules = [_node_rule((np.ptp(np.linalg.eigvalsh(op.mat)) + e) * grid[1]) for op in ops]
-        assert rules[0][1] > n and rules[1][1] == 1.0
+    @pytest.mark.parametrize("family", ["random-dense", "piecewise"])
+    def test_runs_of_whole_steps_under_a_small_table_budget(self, family, monkeypatch):
+        # 1024 table entries at N = 16: batches of 4 oracles, heads every 4 steps and
+        # runs of 64 steps, so the 199 whole steps of one segment, or the 65 or 66 of
+        # each of three, end in a short run whose last block is cut
+        monkeypatch.setattr(qsearch.bound, "ORACLE_BATCH_ELEMENTS", 1024)
+        n, e = 16, 1.0
+        horizon = math.pi * math.sqrt(n)
+        driver = build_driver(family, n, e, 1.0, horizon, np.random.default_rng(4), segments=3)
+        s, grid = StateVector.uniform(n), uniform_grid(horizon, 200)
+        counts = [max(hi - lo - 1, 0) for lo, hi, _ in _segment_times([d for d, _ in driver.segments], grid)]
+        assert all(count % 4 for count in counts) and min(counts) > 64
+        assert all(2 * _node_rule((np.ptp(np.linalg.eigvalsh(op.mat)) + e) * grid[1])[0] <= n
+                   for _, op in driver.segments)
         traj = evolve_trajectories(e, standard_basis(n), driver, s, grid)
         reference = _propagate_schedule(
             [(dur, *np.linalg.eigh(op.mat)) for dur, op in driver.segments], s.amps, grid

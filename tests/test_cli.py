@@ -313,6 +313,33 @@ def test_every_argv_runs_or_exits_with_one_line(argv):
         assert lines[-1].startswith(f"qsearch {argv[0]}:")
 
 
+@pytest.mark.parametrize("mult, nodes", [("70", 64), ("2000", 16 * 99)])
+def test_strong_driver_on_a_coarse_grid_stays_within_its_charge(mult, nodes, monkeypatch):
+    # N = 128 on 72 points: at 70 E the distance integral takes 64 nodes a step, the
+    # most it takes at this N; at 2000 E the states are read at the grid points. The
+    # budget is the run's charge, its estimate and 56 N bytes and a report row per
+    # point, so that a byte less refuses it.
+    n, horizon = 128, math.pi * math.sqrt(128)
+    argv = ["bound", "--n", str(n), "--driver", "random-dense", "--driver-norm-mult", mult,
+            "--dt", "0.5", "--seed", "5", "--out", os.devnull]
+    driver = qsearch.bound.build_driver("random-dense", n, 1.0, float(mult), horizon, np.random.default_rng(5))
+    p, parts = qsearch.bound._node_rule((np.ptp(np.linalg.eigvalsh(driver.segments[0][1].mat)) + 1.0) * horizon / 71)
+    assert p * parts == nodes
+    budget = cli._estimated_bytes("bound", cli.build_parser().parse_args(argv)) + 72 * (56 * n + cli.REPORT_ROW_BYTES)
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", budget - 1)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", budget)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
+
+
 @pytest.mark.parametrize("command", ["analog", "bound"])
 def test_time_grid_rows_count_against_the_memory_budget(command, monkeypatch, capsys):
     # 10^5 + 1 report rows need about 115 MiB, over a 64 MiB budget

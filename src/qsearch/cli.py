@@ -319,7 +319,7 @@ def cmd_bound(cfg: argparse.Namespace) -> dict:
     t_m_equiv = math.pi * math.sqrt(n) / (2.0 * e)
     horizon = cfg.horizon or 2.0 * t_m_equiv
     # per grid point N distances and a batch's running integrals, charged at 56 N
-    # bytes (measured: 9 N), and its report row
+    # bytes (measured: 10 N), and its report row
     grid = _time_grid(cfg.dt or t_m_equiv / 500.0, horizon, _estimated_bytes("bound", cfg),
                       56 * n + REPORT_ROW_BYTES)
     # No eigenvalue exceeds E * (mult + 1): past a double, a phase is inf and a state nan.

@@ -205,7 +205,7 @@ class TestEvolveTrajectories:
     def test_peak_memory_stays_below_a_quarter_of_the_full_states(self):
         # N full (M, N) blocks would take 16 N^2 M bytes (62.5 MiB at M = 1001);
         # per grid point, the N distances and a batch's running integrals
-        # (measured: 9.0 N bytes from 1001 to 4001 points; 56 N when each oracle's
+        # (measured: 9.6 N bytes from 1001 to 4001 points; 56 N when each oracle's
         # states and phase table were built at every point)
         n = 64
         driver = build_driver("random-dense", n, 1.0, 1.0, 10.0, np.random.default_rng(0))

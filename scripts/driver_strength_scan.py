@@ -47,6 +47,9 @@ def main():
         t_eps = f"{rep.t_epsilon_second:.3f}" if rep.t_epsilon_second is not None else "never"
         if not rep.bound_satisfied:
             sys.exit(f"{family} driver at norm/E {mult:g}: D(t) exceeds the 2 E sqrt(N) t line")
+        if rep.lower_bound_satisfied is False:
+            sys.exit(f"{family} driver at norm/E {mult:g}: t_eps {t_eps} falls more than a grid "
+                     f"step below the floor {floor:.3f}")
         print(f"{family:>14} {mult:>7.0f} {ratio:>12.4f} {t_eps:>9}")
     print("\nno driver beats the floor; the strongest ones are not even the fastest")
 

@@ -16,8 +16,9 @@ error pollutes the bound checks. A segment's driver is eigendecomposed once
 rank-one update of the driver's (O(N^2)). Each oracle's distance is then
 integrated from the paper's identity dD_w/dt = -2E Im(<psi|w><w|psi_w>),
 whose two amplitudes are sums of N exponentials: O(N) per integration node
-instead of the O(N^2) of a state, and states only at segment ends, where
-they are handed on and check the integral. A smooth driver can be
+instead of the O(N^2) of a state. States are built only at a segment's
+first and last grid points, where the integral starts and is checked, and
+at its end, where they are handed on. A smooth driver can be
 approximated by refining segments; convergence of that approximation is the
 caller's responsibility. The per-oracle trajectories are independent and
 could run in parallel; they are reduced in a fixed order so results never
@@ -319,21 +320,23 @@ def evolve_trajectories(
     c = Q^T (conj(phase) * V^dagger psi_w). Both are sums of N terms, so the
     rate costs O(N) per time where a state costs O(N^2).
 
-    Each grid step is integrated by a Gauss-Legendre rule chosen from omega dt
-    (``GAUSS_RULES``), omega = (lam_max - lam_min) + E bounding the rate's
-    frequencies |mu_k - lam_i|; a segment's end inside a step splits the step,
-    with one rule per side. On the even grid the nodes are t_{aB} + (b + x_l) dt
-    for the grid's own points t_{aB}, so each sum is a table at those heads
-    times a fixed table of offsets: one small complex product per batch of
-    oracles, O(N M p) per oracle for M points and p nodes per step. At each
-    segment's end the states are built from its exact time, checked for
-    norm drift and handed to the next segment, mapped back by V; there the
-    integral must match ||psi_w - psi||^2 from them, else ``QSearchError``,
-    and the next segment starts from that value. Where a step would take
+    Each segment's states are built only where they are needed: at its first
+    grid point, where they give D_w, at its last, where they check the
+    integral, and at its end, from its exact time, whence they are handed to
+    the next segment, mapped back by V; each is checked for norm drift. The
+    ``count`` whole grid steps between those two points are integrated by a
+    Gauss-Legendre rule chosen from omega dt (``GAUSS_RULES``), omega =
+    (lam_max - lam_min) + E bounding the rate's frequencies |mu_k - lam_i|.
+    On the even grid the nodes are t_{aB} + (b + x_l) dt for the grid's own
+    points t_{aB}, so each sum is a table at those heads times a fixed table
+    of offsets: one small complex product per batch of oracles, O(N M p) per
+    oracle for M points and p nodes per step. From the states' D_w at the
+    first point, the integral must reach theirs at the last within
+    1e-9 (1 + 2E count dt), else ``QSearchError``. Where a step would take
     more than N / 2 nodes, states at the grid points cost less (measured),
-    and the segment's distances are read off them instead. A grid that ends
-    before the horizon is integrated up to its last point, and the segments
-    past it only hand their states on.
+    and every grid point's distance is read off them instead. A segment
+    without grid points, such as one past a grid that ends before the
+    horizon, only hands its states on.
     """
     if not (math.isfinite(e) and e > 0.0):
         raise ValueError(f"oracle scale must be positive, got {e}")
@@ -363,27 +366,15 @@ def evolve_trajectories(
     dt = grid[-1] / steps
     psi_ref = initial.amps
     states = np.repeat(initial.amps[None, :], n, axis=0)  # row w: trajectory w at the segment entry
-    entry_distance = np.zeros(n)  # D_w at the segment entry
     batch = min(n, max(1, ORACLE_BATCH_ELEMENTS // (n * n)))
     durations = [dur for dur, _ in driver.segments]
     for (lo, hi, times), (_, op) in zip(_segment_times(durations, grid), driver.segments):
         evals, vecs = np.linalg.eigh(op.mat)
-        # The distances are integrated up to `stop`: the segment's end, or the grid's
-        # last point where the grid ends in it; a segment past that only hands its
-        # states on. Its steps, from its entry: to its first grid point, `count`
-        # whole steps between grid points, and from the last to its end.
-        points, seg_end = times[:-1], times[-1]
-        past = lo == grid.shape[0]
-        stop = points[-1] if hi == grid.shape[0] and not past else seg_end
-        cut = [] if past else [(0.0, points[0] if hi > lo else seg_end)] + (
-            [(points[-1], seg_end)] if lo < hi < grid.shape[0] else [])
-        count = max(hi - lo - 1, 0)
-        ends = np.array([stop] if stop == seg_end else [stop, seg_end])
-        # From here on, the driver's eigenbasis. The reference at `stop` and at the end.
+        # From here on, the driver's eigenbasis. The reference at the segment's end, handed on.
         coeffs = vecs.conj().T @ psi_ref
-        ref_ends = _phase_table(evals, ends, coeffs)
-        _check_norms(ref_ends)
-        psi_ref = vecs @ ref_ends[:, -1]
+        ref_end = _phase_table(evals, times[-1:], coeffs)
+        _check_norms(ref_end)
+        psi_ref = vecs @ ref_end[:, 0]
         # The rate's frequencies mu_k - lam_i lie within the spread of lam plus E. Past
         # N / 2 nodes a step, states at the grid points cost less, and the segment's
         # distances are read off them instead. Measured with OpenBLAS at 2 threads on
@@ -391,15 +382,14 @@ def evolve_trajectories(
         # states' time at N / 2 nodes for N = 16, 32, 64, 128 and 256, and 1.25, 1.31,
         # 1.02 and 1.90 times at N nodes for N = 16, 32, 64 and 128.
         p, parts = _node_rule((evals[-1] - evals[0] + e) * dt)
-        integrated = not past and 2 * p * parts <= n
+        # The segment's grid points whose states are built: its first and last, between
+        # which its `count` whole steps are integrated, or else all of them.
+        count = max(hi - lo - 1, 0)
+        integrated = 2 * p * parts <= n and count > 0
+        exact = np.array([0, count]) if integrated else np.arange(hi - lo)
         if integrated:
             nodes, weights = _gauss_nodes(p, int(parts))
-            weights *= -2.0 * e  # the rate's factor
-            firsts, lasts = np.array(cut).T
-            lengths = lasts - firsts
-            edge_at = (firsts[:, None] + lengths[:, None] * nodes).ravel()
-            lam_edges = _phase_table(evals, edge_at)
-        if integrated and count:
+            weights *= -2.0 * e * dt  # the rate's factor and the step
             # The whole steps from heads every `block` steps, about sqrt(count) keeping
             # the heads' and the offsets' cos/sin fewest, in runs of `run` steps: a
             # batch's offset, head and rate tables stay within ORACLE_BATCH_ELEMENTS
@@ -407,7 +397,7 @@ def evolve_trajectories(
             width = nodes.shape[0]
             block = max(1, min(round(math.sqrt(count)), ORACLE_BATCH_ELEMENTS // (batch * n * width)))
             run = block * max(1, ORACLE_BATCH_ELEMENTS // (batch * max(n, block * width)))
-            heads = points[:count:block]
+            heads = times[:count:block]
             lam_heads = _cis(heads[:, None], evals)
             lam_offsets = _offset_table(evals, dt, block, nodes)
         for start in range(0, n, batch):
@@ -422,42 +412,36 @@ def evolve_trajectories(
             np.abs(u, out=rhs[:, :, 2])
             cg = np.matmul(q.transpose(0, 2, 1), rhs)
             c = cg[:, :, 0] + 1j * cg[:, :, 1]
-            # the states at `stop` and at the end, the distances at `stop`, and the hand-off
-            end_states = _oracle_states(q, phase, mu, c, ends)
+            # the hand-off: the states at the segment's end, mapped back by V
+            end_states = _oracle_states(q, phase, mu, c, times[-1:])
             _check_norms(end_states)
-            end_distance = _squared_norms(end_states[:, :, :1] - ref_ends[:, :1])[:, 0]
-            states[ws] = end_states[:, :, -1] @ vecs.T
+            states[ws] = end_states[:, :, 0] @ vecs.T
+            # the distances at the exact points, about ORACLE_BATCH_ELEMENTS state entries at a time
             row = distance[ws, lo:hi]
+            chunk = max(1, ORACLE_BATCH_ELEMENTS // (len(u) * n))
+            for j in range(0, exact.shape[0], chunk):
+                at = exact[j:j + chunk]
+                exact_states = _oracle_states(q, phase, mu, c, times[at])
+                _check_norms(exact_states)
+                row[:, at] = _squared_norms(exact_states - _phase_table(evals, times[at], coeffs))
             if not integrated:
-                chunk = max(1, ORACLE_BATCH_ELEMENTS // (len(u) * n))
-                for j in range(0, hi - lo, chunk):
-                    at = points[j:j + chunk]
-                    row[:, j:j + chunk] = _squared_norms(
-                        _oracle_states(q, phase, mu, c, at) - _phase_table(evals, at, coeffs))
-                entry_distance[ws] = end_distance
                 continue
             # the sums a_w = <w|psi> and b_w = <w|psi_w>: coefficients V_wi r_i and g_k c_k;
-            # the steps' integrals of dD_w/dt = -2E Im(conj(a_w) b_w) in the order taken
+            # the whole steps' integrals of dD_w/dt = -2E Im(conj(a_w) b_w), summed in place
+            # from the first grid point on, must reach the states' distance at the last
             alpha, beta = vecs[ws] * coeffs, cg[:, :, 2] * c
-            edges = lengths * _weighted_rates(alpha @ lam_edges,
-                                              np.matmul(beta[:, None, :], _phase_table(mu, edge_at))[:, 0], weights)
-            reached = entry_distance[ws] + edges[:, 0]
-            if hi > lo:  # the whole steps, summed in place from the first grid point on
-                row[:, 0] = reached
-                if count:
-                    mu_offsets = _offset_table(mu, dt, block, nodes)
-                    for j in range(0, count, run):
-                        h = slice(j // block, (j + run) // block)
-                        rates = _weighted_rates(np.matmul(lam_heads[h] * alpha[:, None, :], lam_offsets),
-                                                np.matmul(_cis(mu[:, None, :], heads[h, None]) * beta[:, None, :],
-                                                          mu_offsets), weights)
-                        row[:, j + 1:j + run + 1] = dt * rates.reshape(len(u), -1)[:, :count - j]
-                np.cumsum(row, axis=1, out=row)
-                reached = row[:, -1] + edges[:, 1:].sum(axis=1)
-            drift = float(np.max(np.abs(reached - end_distance)))
-            if not drift <= 1e-9 * (1.0 + 2.0 * e * stop):  # also catches nan
+            last = row[:, count].copy()
+            mu_offsets = _offset_table(mu, dt, block, nodes)
+            for j in range(0, count, run):
+                h = slice(j // block, (j + run) // block)
+                rates = _weighted_rates(np.matmul(lam_heads[h] * alpha[:, None, :], lam_offsets),
+                                        np.matmul(_cis(mu[:, None, :], heads[h, None]) * beta[:, None, :],
+                                                  mu_offsets), weights)
+                row[:, j + 1:j + run + 1] = rates.reshape(len(u), -1)[:, :count - j]
+            np.cumsum(row, axis=1, out=row)
+            drift = float(np.max(np.abs(row[:, count] - last)))
+            if not drift <= 1e-9 * (1.0 + 2.0 * e * count * dt):  # also catches nan
                 raise QSearchError(f"the integrated distance misses the states' by {drift!r}")
-            entry_distance[ws] = end_distance
 
     return TrajectorySet(grid=grid.copy(), distance=distance, oracle_scale=float(e))
 

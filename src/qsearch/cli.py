@@ -51,8 +51,9 @@ ANALOG_PASS_TOL = 1e-8
 GROVER_PASS_TOL = 1e-9
 
 # bound builds an N x N matrix per driver segment and eigendecomposes each once
-# (O(N^3)); each oracle then costs O(N^2) per grid point, O(N^3 M) in all, so
-# its N stays within the design envelope for direct eigendecomposition.
+# (O(N^3)); each oracle then costs O(N^2) per segment and O(N p) per grid point
+# for p integration nodes a step, so its N stays within the design envelope for
+# direct eigendecomposition.
 MAX_DENSE_DIM = 4096
 
 # main checks each command's byte estimate (``_estimated_bytes``) against this

@@ -51,6 +51,19 @@ def uniform_grid(horizon, steps):
     return np.linspace(0.0, horizon, steps + 1)
 
 
+def assert_distances_match_dense(traj, e, driver, s, grid, oracles):
+    """``traj.distance[w]`` for each w of ``oracles`` within 1e-12 of the
+    squared distance between that oracle's dense block (``oracle_trajectory``)
+    and the driver-only reference, both propagated from s over the grid."""
+    reference = _propagate_schedule(
+        [(dur, *np.linalg.eigh(op.mat)) for dur, op in driver.segments], s.amps, grid
+    )
+    for w in oracles:
+        block = oracle_trajectory(e, StateVector.basis_state(s.dim, w).amps, driver, s.amps, grid)
+        distance = np.sum(np.abs(block - reference) ** 2, axis=1)
+        assert np.max(np.abs(traj.distance[w] - distance)) <= 1e-12
+
+
 class TestSumOracleHamiltonians:
     def test_standard_basis_gives_exact_identity(self):
         h = sum_oracle_hamiltonians(1.0, standard_basis(5))
@@ -235,13 +248,7 @@ class TestRankOneUpdatePath:
         driver = build_driver(family, n, e, 1.0, horizon, np.random.default_rng(n), segments=10)
         s, grid = StateVector.uniform(n), uniform_grid(horizon, 200)
         traj = evolve_trajectories(e, standard_basis(n), driver, s, grid)
-        reference = _propagate_schedule(
-            [(dur, *np.linalg.eigh(op.mat)) for dur, op in driver.segments], s.amps, grid
-        )
-        for w, wvec in enumerate(standard_basis(n)):
-            block = oracle_trajectory(e, wvec.amps, driver, s.amps, grid)
-            distance = np.sum(np.abs(block - reference) ** 2, axis=1)
-            assert np.max(np.abs(traj.distance[w] - distance)) <= 1e-12
+        assert_distances_match_dense(traj, e, driver, s, grid, range(n))
 
     @pytest.mark.parametrize("family, calls", [("random-dense", 1), ("piecewise", 10)])
     def test_one_eigh_per_driver_segment(self, family, calls, monkeypatch):
@@ -259,9 +266,10 @@ class TestRankOneUpdatePath:
         assert len(count) == calls
 
     def test_a_grid_ending_before_the_horizon_walks_every_segment(self, monkeypatch):
-        # the grid ends inside the fourth of ten segments: its distances are integrated
-        # to the grid's last point, and every segment is still eigendecomposed and
-        # hands its states on
+        # the grid ends inside the fourth of ten segments: that segment's whole steps are
+        # integrated up to the grid's last point, where its states check the integral;
+        # the six segments past it hold no grid point, yet each is still eigendecomposed
+        # and hands its states on
         n, e = 16, 1.0
         driver = build_driver("piecewise", n, e, 1.0, 10.0, np.random.default_rng(2), segments=10)
         s, grid = StateVector.uniform(n), np.linspace(0.0, 3.5, 71)
@@ -276,13 +284,7 @@ class TestRankOneUpdatePath:
         traj = evolve_trajectories(e, standard_basis(n), driver, s, grid)
         assert len(count) == 10
         monkeypatch.undo()
-        reference = _propagate_schedule(
-            [(dur, *np.linalg.eigh(op.mat)) for dur, op in driver.segments], s.amps, grid
-        )
-        for w, wvec in enumerate(standard_basis(n)):
-            block = oracle_trajectory(e, wvec.amps, driver, s.amps, grid)
-            distance = np.sum(np.abs(block - reference) ** 2, axis=1)
-            assert np.max(np.abs(traj.distance[w] - distance)) <= 1e-12
+        assert_distances_match_dense(traj, e, driver, s, grid, range(n))
 
     def test_piecewise_segments_of_few_grid_points(self):
         # segment ends fall half-way between points 0.1 apart: segments of 0, 1, 2, 31
@@ -296,13 +298,7 @@ class TestRankOneUpdatePath:
         s = StateVector.uniform(n)
         with np.errstate(over="raise", divide="raise", invalid="raise"):  # as the CLI runs it
             traj = evolve_trajectories(e, standard_basis(n), driver, s, grid)
-        reference = _propagate_schedule(
-            [(dur, *np.linalg.eigh(op.mat)) for dur, op in driver.segments], s.amps, grid
-        )
-        for w, wvec in enumerate(standard_basis(n)):
-            block = oracle_trajectory(e, wvec.amps, driver, s.amps, grid)
-            distance = np.sum(np.abs(block - reference) ** 2, axis=1)
-            assert np.max(np.abs(traj.distance[w] - distance)) <= 1e-12
+        assert_distances_match_dense(traj, e, driver, s, grid, range(n))
 
 
     @pytest.mark.parametrize("mults", [(100.0,) * 10, (100.0, 1.0)])
@@ -325,18 +321,13 @@ class TestRankOneUpdatePath:
         for _, _, times in list(_segment_times([dur for dur, _ in driver.segments], grid))[:-1]:
             assert 0.0 < times[-1] - times[-2] < dt  # the segment's end splits a step
         traj = evolve_trajectories(e, standard_basis(n), driver, s, grid)
-        reference = _propagate_schedule(
-            [(dur, *np.linalg.eigh(op.mat)) for dur, op in driver.segments], s.amps, grid
-        )
-        for w in range(0, n, n // 32):
-            block = oracle_trajectory(e, StateVector.basis_state(n, w).amps, driver, s.amps, grid)
-            distance = np.sum(np.abs(block - reference) ** 2, axis=1)
-            assert np.max(np.abs(traj.distance[w] - distance)) <= 1e-12
+        assert_distances_match_dense(traj, e, driver, s, grid, range(0, n, n // 32))
 
     def test_steps_past_half_n_nodes_read_the_states(self):
         # omega dt above 20.2 at N = 16 takes at least 32 nodes a step, past N / 2: the
         # first segment's distances come from its states; the second is weak enough
-        # for the 4-node rule and is integrated from the first's hand-off
+        # for the 4-node rule and is integrated from the states at its first grid point,
+        # built from the first segment's hand-off
         n, e = 16, 1.0
         rng = np.random.default_rng(8)
         ops = [_random_hermitian(n, 100.0, rng), _random_hermitian(n, 0.01, rng)]
@@ -345,13 +336,7 @@ class TestRankOneUpdatePath:
         rules = [_node_rule((np.ptp(np.linalg.eigvalsh(op.mat)) + e) * grid[1]) for op in ops]
         assert [2 * p * parts <= n for p, parts in rules] == [False, True]
         traj = evolve_trajectories(e, standard_basis(n), driver, s, grid)
-        reference = _propagate_schedule(
-            [(dur, *np.linalg.eigh(op.mat)) for dur, op in driver.segments], s.amps, grid
-        )
-        for w, wvec in enumerate(standard_basis(n)):
-            block = oracle_trajectory(e, wvec.amps, driver, s.amps, grid)
-            distance = np.sum(np.abs(block - reference) ** 2, axis=1)
-            assert np.max(np.abs(traj.distance[w] - distance)) <= 1e-12
+        assert_distances_match_dense(traj, e, driver, s, grid, range(n))
 
     @pytest.mark.parametrize("family", ["random-dense", "piecewise"])
     def test_runs_of_whole_steps_under_a_small_table_budget(self, family, monkeypatch):
@@ -368,13 +353,7 @@ class TestRankOneUpdatePath:
         assert all(2 * _node_rule((np.ptp(np.linalg.eigvalsh(op.mat)) + e) * grid[1])[0] <= n
                    for _, op in driver.segments)
         traj = evolve_trajectories(e, standard_basis(n), driver, s, grid)
-        reference = _propagate_schedule(
-            [(dur, *np.linalg.eigh(op.mat)) for dur, op in driver.segments], s.amps, grid
-        )
-        for w, wvec in enumerate(standard_basis(n)):
-            block = oracle_trajectory(e, wvec.amps, driver, s.amps, grid)
-            distance = np.sum(np.abs(block - reference) ** 2, axis=1)
-            assert np.max(np.abs(traj.distance[w] - distance)) <= 1e-12
+        assert_distances_match_dense(traj, e, driver, s, grid, range(n))
 
 
 class TestKernelAtBenchmarkSize:
@@ -389,13 +368,7 @@ class TestKernelAtBenchmarkSize:
         driver = build_driver(family, n, e, 1.0, horizon, np.random.default_rng(5), segments=10)
         s, grid = StateVector.uniform(n), uniform_grid(horizon, 1000)
         traj = evolve_trajectories(e, standard_basis(n), driver, s, grid)
-        reference = _propagate_schedule(
-            [(dur, *np.linalg.eigh(op.mat)) for dur, op in driver.segments], s.amps, grid
-        )
-        for w in (0, other):
-            block = oracle_trajectory(e, StateVector.basis_state(n, w).amps, driver, s.amps, grid)
-            distance = np.sum(np.abs(block - reference) ** 2, axis=1)
-            assert np.max(np.abs(traj.distance[w] - distance)) <= 1e-12
+        assert_distances_match_dense(traj, e, driver, s, grid, (0, other))
 
 
 class TestOneOracleBatches:
@@ -419,13 +392,7 @@ class TestOneOracleBatches:
         # (measured: 6.2 N x N complex arrays); an N x N copy of the basis, of the
         # rank-one vectors or of the entry states per segment takes 9.2
         assert peak <= 7 * 16 * n * n
-        reference = _propagate_schedule(
-            [(dur, *np.linalg.eigh(op.mat)) for dur, op in driver.segments], s.amps, grid
-        )
-        for w in (0, 1, n - 1):
-            block = oracle_trajectory(e, basis[w].amps, driver, s.amps, grid)
-            distance = np.sum(np.abs(block - reference) ** 2, axis=1)
-            assert np.max(np.abs(traj.distance[w] - distance)) <= 1e-12
+        assert_distances_match_dense(traj, e, driver, s, grid, (0, 1, n - 1))
 
 
 def segment_points(points, durations):

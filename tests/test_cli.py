@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -395,8 +396,8 @@ def test_bound_oracle_norm_drift_exits_1(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("driver", ["paper", "piecewise"])
 def test_bound_integral_drift_exits_1(driver, tmp_path, monkeypatch, capsys):
-    # one node per step, the midpoint rule: the distance integrated to a segment's end
-    # misses the one its states give by about 1e-6
+    # one node per step, the midpoint rule: the distance integrated to a segment's last
+    # grid point misses the one its states give by about 1e-6
     monkeypatch.setattr(qsearch.bound, "GAUSS_RULES", ((1, 20.2),))
     _assert_exit_1_without_report(["bound", "--n", "4", "--driver", driver], tmp_path, capsys,
                                   "integrated distance misses")
@@ -484,6 +485,26 @@ def test_driver_strength_scan_script_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "no driver beats the floor" in proc.stdout
+
+
+def test_driver_strength_scan_exits_when_a_driver_beats_the_floor(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("driver_strength_scan", ROOT / "scripts" / "driver_strength_scan.py")
+    scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scan)
+    discrimination_time = scan.discrimination_time
+
+    def early(traj, epsilon):
+        return dataclasses.replace(discrimination_time(traj, epsilon), t_epsilon_second=0.0,
+                                   lower_bound_satisfied=False)
+
+    monkeypatch.setattr(scan, "discrimination_time", early)
+    monkeypatch.setattr(sys, "argv", ["driver_strength_scan.py", "--n", "4"])
+    with pytest.raises(SystemExit) as exc:
+        scan.main()
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message  # one line on stderr, exit code 1
+    assert message.startswith("paper driver at norm/E 1: t_eps 0.000") and "below the floor" in message
+    assert "no driver beats the floor" not in capsys.readouterr().out
 
 
 def test_reproduce_claims_script_runs(tmp_path):

@@ -24,8 +24,9 @@ HERMITICITY_TOL = 1e-10
 # rank_one_eigh treats a rank-one component or an eigenvalue gap at or below
 # this many ulps of the problem's scale as zero (LAPACK dlaed2 uses 8).
 DEFLATION_ULPS = 8.0
-# Secular-equation steps per root; quadratic convergence needs a handful, and
-# bisection (the safeguard) halves a bracket at most this many times.
+# Evaluations of the secular equation per root. Most roots stop after four and
+# roots beside a cluster of poles after up to ten; bisection, the safeguard,
+# halves a bracket at most this many times.
 SECULAR_MAX_STEPS = 100
 
 
@@ -219,7 +220,7 @@ def rank_one_eigh(
 
     keep = r[:, None] * z > tol
     if keep.all():  # no deflation and no reflection
-        mu, q = _secular_roots(np.broadcast_to(d, (batch, n)), r[:, None] * z * z)
+        mu, q = _secular_roots(d[None, :], r[:, None] * z * z)
         return np.ldexp(mu, shift), phase, q
     count = np.sum(keep, axis=1)
     vals = np.empty((batch, n))
@@ -243,95 +244,149 @@ def rank_one_eigh(
 def _secular_roots(d: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and unit eigenvectors of diag(d) + v v^T with
     v = sqrt(w2), for each row of strictly ascending d and positive w2: the
-    eigenvectors as the columns of C-ordered (rows, k, k) matrices.
+    eigenvectors as the columns of C-ordered (rows, k, k) matrices. A ``d``
+    of one row (1, k) serves every row of ``w2``.
 
-    Root k solves f(mu) = 1 + sum_i w2_i / (d_i - mu) = 0 in (d_k, d_k+1)
-    (the last in (d_K, d_K + sum w2)); all roots of all rows step together.
-    Each is found as an offset tau from its nearer pole, so d_i - mu_k keeps
-    full relative accuracy (LAPACK ``dlaed4``). Each step solves a model that
-    keeps the two poles beside the root and matches f and f' at the iterate
-    (the fixed-weight rational step of Bunch, Nielsen & Sorensen, quadratically
-    convergent); a step that leaves the bracket known from the signs of f
-    bisects instead.
+    Root j solves f(mu) = 1 + sum_i w2_i / (d_i - mu) = 0 in (d_j, d_j+1)
+    (the last in (d_k, d_k + sum w2]); all roots of all rows step together.
+    Each is found as an offset tau from one of the two poles p < q beside
+    it (for the last root, the last two), its origin, so d_i - mu_j keeps
+    full relative accuracy (LAPACK ``dlaed4``). The first evaluation of f,
+    at the middle of each interval (for the last root, half its length),
+    makes the pole on the root's side the origin. Each evaluation then takes
+    one step, to the root of a model of f by the two poles alone that
+    matches f and f' there: both keep their own weights, and the one that is
+    not the origin also takes the f' of all the other poles (fixed weight).
+    Where that has not cut |f| tenfold, by turns the poles beyond the origin
+    go with the origin instead (the middle way), as ``dlaed4`` switches
+    (R.-C. Li, LAPACK Working Note 89). A step that leaves the bracket known
+    from the signs of f bisects.
+
+    A root stops where |f| is within its rounding error, and also, with no
+    further evaluation, where its step s after a step s' (not the first, from
+    the middle) predicts by quadratic convergence an error s^3 / s'^2 within
+    an ulp of tau. While most roots step, an evaluation takes the whole
+    (rows, k, k) table, whose weights need no gather (four evaluations at
+    ``bound``'s batch sizes), and then only the rows of the roots left. One
+    (rows, k, k) buffer holds each evaluation's table and, at the end, the
+    eigenvectors.
     """
-    rows, k = d.shape
-    idx = np.arange(k)
-    nxt = np.minimum(idx + 1, k - 1)
-    last = idx == k - 1
-    ones = np.ones(k)
+    rows, k = w2.shape
+    if k < 2:  # mu = d + w2, with the eigenvector 1
+        return np.broadcast_to(d, w2.shape) + w2, np.ones((rows, k, k))
+    count = rows * k
     eps = np.finfo(np.float64).eps
+    vecs = np.empty((rows, k, k))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        left = d[:, None, :] - d[:, :, None]  # left[., k, i] = d_i - d_k
-        # f at the middle of each interval, and at the upper end for the last root
-        reach = np.concatenate((np.diff(d, axis=1) / 2.0, np.sum(w2, axis=1, keepdims=True)), axis=1)
-        gaps = left - reach[:, :, None]
-        f_at = 1.0 + np.divide(w2[:, None, :], gaps, out=gaps) @ ones
-        right = (f_at < 0.0) & ~last  # root nearer d_k+1: measure tau from there
-        d_origin = np.take_along_axis(d, idx + right, axis=1)
-        base = d[:, None, :] - d_origin[:, :, None]
-        lo = np.where(right, -reach, 0.0).ravel()
-        # the last root may sit at reach itself, so its bracket reaches past it
-        hi = np.where(right, 0.0, np.where(last, 2.0 * reach, reach)).ravel()
-        wq = np.where(last, 0.0, w2[:, nxt])
-        # start from the two beside poles exact and the rest of f frozen at reach
-        rest = f_at + w2 / reach - wq / reach
-        tau = _model_root(rest.ravel(), base[:, idx, idx].ravel(), base[:, idx, nxt].ravel(),
-                          w2.ravel(), wq.ravel(), lo, hi)
+        gaps = d[:, None, :] - d[:, :, None]  # gaps[., j, i] = d_i - d_j
+        d = np.broadcast_to(d, w2.shape)
+        idx = np.arange(k)
+        p = np.minimum(idx, k - 2)  # the poles p and p + 1, the last two for the last root
+        reach = np.concatenate((np.diff(d, axis=1), np.sum(w2, axis=1, keepdims=True)), axis=1) / 2.0
+        p_root = np.tile(p, rows)
+        sums = _secular_sums(np.subtract(gaps, reach[:, :, None], out=vecs), w2[:, None, :], p_root)
+        # the origin is p + 1 where the root lies right of the middle, and for the last root
+        right = (sums[0] < -1.0).reshape(rows, k)
+        right[:, -1] = True
+        d_origin = np.take_along_axis(d, p + right, axis=1)
+        other = (np.take_along_axis(d, p + ~right, axis=1) - d_origin).ravel()  # the other pole
+        weight = np.take_along_axis(w2, p + right, axis=1).ravel()
+        weight_other = np.take_along_axis(w2, p + ~right, axis=1).ravel()
+        # row rows_at[m] of `from_origin` is d_i - d_origin for root m
+        rows_at = (p + right + k * np.arange(gaps.shape[0])[:, None]).ravel()
+        from_origin = gaps.reshape(-1, k)
+        # start at the middle, in the bracket (d_p, d_p+1), or (d_k, d_k + 2 sum w2) for the last root
+        tau, lo, hi = np.where(right, -reach, reach), np.where(right, -2.0 * reach, 0.0), 2.0 * reach
+        hi[right] = 0.0
+        tau[:, -1], lo[:, -1], hi[:, -1] = reach[:, -1], 0.0, 4.0 * reach[:, -1]
+        tau, lo, hi, right = tau.ravel(), lo.ravel(), hi.ravel(), right.ravel()
 
-        # One row per root from here on; converged roots leave the tables.
-        root = np.tile(idx, rows)
-        active = np.arange(rows * k)
-        table = base.reshape(rows * k, k)
-        weights = np.repeat(w2, k, axis=0)
-        left_of = np.tile((idx[None, :] <= idx[:, None]).astype(np.float64), (rows, 1))
-        del left, gaps
-        for _ in range(SECULAR_MAX_STEPS):
-            t, j, at = tau[active], root[active], np.arange(active.size)
-            delta = table - t[:, None]
-            dp, dq = delta[at, j], delta[at, nxt[j]]
-            terms = weights / delta
-            slopes = np.divide(terms, delta, out=delta)
-            psi, dpsi = np.einsum("ri,ri->r", terms, left_of), np.einsum("ri,ri->r", slopes, left_of)
-            phi, dphi = terms @ ones - psi, slopes @ ones - dpsi
-            del terms, slopes
-            f = 1.0 + psi + phi
-            tol = eps * (8.0 * (1.0 + phi - psi) + np.abs(t) * (dpsi + dphi))
-            t_lo, t_hi = lo[active], hi[active]
-            done = (np.abs(f) <= tol) | (t_hi - t_lo <= 2.0 * eps * np.maximum(np.abs(t_lo), np.abs(t_hi)))
-            if done.all():
+        done, steps = np.zeros(count, dtype=bool), np.zeros(count)
+        middle, f_before = np.zeros(count, dtype=bool), np.zeros(count)
+        table = vecs.reshape(count, k)
+        at = slice(None)  # every root while most step, then the index of those left
+        for step in range(SECULAR_MAX_STEPS):
+            total, size, far = sums  # and the rows of `table` hold 1 / (d_i - mu)^2, 0 at p and p + 1
+            t, f = tau[at], 1.0 + total
+            x, w_o, w_x = other[at], weight[at], weight_other[at]
+            dx = x - t
+            slope = far + w_o / (t * t) + w_x / (dx * dx)
+            stop = done[at] | (np.abs(f) <= eps * (8.0 + 8.0 * size + np.abs(t) * slope))
+            t_lo = lo[at] = np.where(f < 0.0, t, lo[at])
+            t_hi = hi[at] = np.where(f > 0.0, t, hi[at])
+            # The two poles keep their weights and the one that is not the origin takes `far`
+            # too. Where that has not cut |f| tenfold, by turns the poles beyond the origin
+            # go with the origin instead.
+            f_last = f_before[at]
+            mid = middle[at] = middle[at] ^ ((f * f_last > 0.0) & (np.abs(f) > 0.1 * np.abs(f_last)))
+            f_before[at] = f
+            if mid.any():
+                m = np.flatnonzero(mid)
+                roots = np.arange(count)[at][m]
+                # the f' of the poles below p and above p + 1, for the roots that need them
+                ends = np.repeat(np.arange(0, m.size * k, k), 2)
+                ends[1::2] += p_root[roots] + 1
+                sides = np.add.reduceat((table[m] * w2[roots // k]).reshape(-1), ends).reshape(-1, 2)
+                near = np.zeros(t.size)
+                near[m] = np.where(right[roots], sides[:, 1], sides[:, 0])
+                w_o, far = w_o + near * (t * t), far - near
+            w_x = w_x + far * (dx * dx)
+            new = np.where(stop, t, _model_root(f + w_o / t - w_x / dx, x, w_o, w_x, t_lo, t_hi))
+            s = np.abs(new - t)
+            done[at] = stop | (s * s * s <= eps * np.abs(new) * steps[at] ** 2)
+            tau[at], steps[at] = new, s if step else 0.0  # the first, from the middle, is no error estimate
+            left = np.flatnonzero(~done)
+            if not left.size:
                 break
-            t_lo = lo[active] = np.where(f < 0.0, t, t_lo)
-            t_hi = hi[active] = np.where(f > 0.0, t, t_hi)
-            ends = last[j]
-            dq = np.where(ends, 1.0, dq)
-            wp, wq = dpsi * dp * dp, np.where(ends, 0.0, dphi * dq * dq)
-            c = f - dpsi * dp - wq / dq
-            step = _model_root(c, table[at, j], table[at, nxt[j]], wp, wq, t_lo, t_hi)
-            tau[active] = np.where(done, t, step)
-            if 4 * np.count_nonzero(done) >= done.size:
-                active, table, weights, left_of = (x[~done] for x in (active, table, weights, left_of))
-        tau = tau.reshape(rows, k)
-        delta = base - tau[:, :, None]
-        # Loewner: z-hat_i^2 = prod_k (mu_k - d_i) / prod_{j != i} (d_j - d_i)
-        left = d[:, None, :] - d[:, :, None]
-        left[:, idx, idx] = -1.0
-        zhat = np.sqrt(np.prod(np.divide(delta, left, out=left), axis=1))
-        del left
-        # vecs[., i, k] = zhat_i / (d_i - mu_k), in C order (a ufunc's own result on the
-        # transposed delta would be F-ordered), so each q[b] is handed over without a copy
-        vecs = np.empty((rows, k, k))
-        np.divide(zhat[:, :, None], delta.transpose(0, 2, 1), out=vecs)
-    vecs /= np.sqrt(np.einsum("rik,rik->rk", vecs, vecs))[:, None, :]
-    return d_origin + tau, vecs
+            # the whole table while most roots step, so that the weights need no gather
+            at = slice(None) if 2 * left.size > count else left
+            delta = np.take(from_origin, rows_at[at], axis=0, mode="clip", out=table[:tau[at].size])
+            delta -= tau[at, None]
+            if at is left:
+                sums = _secular_sums(delta, w2[left // k], p_root[left])
+            else:
+                sums = _secular_sums(vecs, w2[:, None, :], p_root)
+
+        # vecs[., i, j] = 1 / (d_i - mu_j)
+        np.subtract(d[:, :, None], d_origin[:, None, :], out=vecs)
+        vecs -= tau.reshape(rows, 1, k)
+        np.divide(1.0, vecs, out=vecs)
+        # Loewner: z-hat_i^2 = prod_j (mu_j - d_i) / prod_{l != i} (d_l - d_i), the inverse of
+        # the product of the factors (d_j - d_i) / (d_i - mu_j) (all negative), and
+        # 1 / (d_i - mu_i) for j = i
+        gaps[:, idx, idx] = 1.0
+        vecs *= gaps
+        zhat = 1.0 / np.sqrt(np.abs(np.prod(vecs, axis=2)))
+        vecs /= gaps
+        # vecs[., i, j] = zhat_i / (d_i - mu_j), in C order, so each q[b] is handed over without a copy
+        vecs *= zhat[:, :, None]
+    vecs /= np.sqrt(np.einsum("rij,rij->rj", vecs, vecs))[:, None, :]
+    return d_origin + tau.reshape(rows, k), vecs
 
 
-def _model_root(c, dp, dq, wp, wq, lo, hi):
-    """The root in (lo, hi) of c + wp / (dp - x) + wq / (dq - x), or the middle
-    of (lo, hi) where that root is not found in floating point."""
-    a = c * (dp + dq) + wp + wq
-    b = c * dp * dq + wp * dq + wq * dp
+def _secular_sums(delta, w, p):
+    """For each root's row of ``delta``, d_i - mu, the sums of w_i / delta_i and
+    of their magnitudes, and ``far``, the sum of w_i / delta_i^2 over the poles
+    i other than p and p + 1, flat. ``delta`` is overwritten with the terms
+    1 / delta_i^2 of ``far``; those two poles are left out so that ``far``
+    keeps its precision where they dominate."""
+    inv = np.divide(1.0, delta, out=delta)
+    total = np.einsum("...i,...i->...", inv, w).reshape(-1)
+    size = np.einsum("...i,...i->...", np.abs(inv, out=inv), w).reshape(-1)
+    squares = np.multiply(inv, inv, out=inv).reshape(-1, inv.shape[-1])
+    at = np.arange(p.size)
+    squares[at, p] = 0.0
+    squares[at, p + 1] = 0.0
+    return total, size, np.einsum("...i,...i->...", inv, w).reshape(-1)
+
+
+def _model_root(c, x, w_o, w_x, lo, hi):
+    """The root in (lo, hi) of c - w_o / t + w_x / (x - t), or the middle of
+    (lo, hi) where that root is not found in floating point."""
+    a = c * x + w_o + w_x
+    b = w_o * x
     s = a + np.copysign(np.sqrt(np.maximum(a * a - 4.0 * b * c, 0.0)), a)
-    big, small = s / (2.0 * c), 2.0 * b / s  # the two roots of c x^2 - a x + b
+    big, small = s / (2.0 * c), 2.0 * b / s  # the two roots of c t^2 - a t + b
     return np.where((small > lo) & (small < hi), small,
                     np.where((big > lo) & (big < hi), big, 0.5 * (lo + hi)))
 

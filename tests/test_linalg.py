@@ -15,6 +15,8 @@ from qsearch import (
     inner_product,
 )
 
+import qsearch.linalg
+from qsearch.bound import build_driver
 from qsearch.linalg import propagate, rank_one_eigh
 from qsearch.statistics import random_state
 
@@ -248,16 +250,30 @@ def eigenvectors(phase, q):
 
 
 def assert_rank_one_eigensystem(lam, u, rho):
-    """rank_one_eigh against eigh of the dense diag(lam) + rho u u^dagger."""
-    mu, phase, q = rank_one_eigh(lam, u[None], rho)
-    assert q.dtype == np.float64 and q[0].flags.c_contiguous
+    """rank_one_eigh against eigh of the dense diag(lam) + rho u u^dagger, for
+    one u or, row by row, for a stack of them solved in one call."""
+    stack = np.atleast_2d(u)
+    mu, phase, q = rank_one_eigh(lam, stack, rho)
+    assert q.dtype == np.float64 and all(q_b.flags.c_contiguous for q_b in q)
     assert np.max(np.abs(np.abs(phase) - 1.0)) <= 1e-15
-    mu, q = mu[0], eigenvectors(phase, q)[0]
-    dense = np.diag(lam) + rho * np.outer(u, u.conj())
-    scale = max(float(np.max(np.abs(lam))), abs(rho) * float(np.vdot(u, u).real), 1e-300)
-    assert np.max(np.abs(np.sort(mu) - np.linalg.eigvalsh(dense))) <= 1e-13 * scale
-    assert np.linalg.norm(q.conj().T @ q - np.eye(lam.size), 2) <= 1e-13
-    assert np.linalg.norm(dense @ q - q * mu, 2) <= 1e-13 * scale
+    for mu_b, q_b, u_b in zip(mu, eigenvectors(phase, q), stack):
+        dense = np.diag(lam) + rho * np.outer(u_b, u_b.conj())
+        scale = max(float(np.max(np.abs(lam))), abs(rho) * float(np.vdot(u_b, u_b).real), 1e-300)
+        assert np.max(np.abs(np.sort(mu_b) - np.linalg.eigvalsh(dense))) <= 1e-13 * scale
+        assert np.linalg.norm(q_b.conj().T @ q_b - np.eye(lam.size), 2) <= 1e-13
+        assert np.linalg.norm(dense @ q_b - q_b * mu_b, 2) <= 1e-13 * scale
+
+
+def driver_rows(family, n, rows):
+    """The eigenvalues of a driver from ``build_driver`` and the first ``rows``
+    of its conjugated eigenvector rows, as ``evolve_trajectories`` passes them."""
+    driver = build_driver(family, n, 1.0, 1.0, 10.0, np.random.default_rng(n))
+    lam, vecs = np.linalg.eigh(driver.segments[0][1].mat)
+    return lam, vecs[:rows].conj()
+
+
+# the floating-point regime of cli.main, which raises on these
+CLI_ERRSTATE = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
 
 class TestRankOneEigh:
@@ -271,8 +287,9 @@ class TestRankOneEigh:
     def test_zero_spectrum(self, n):
         # the zero driver: one eigenvalue rho ||u||^2, the rest stay 0
         rng = np.random.default_rng(20 + n)
-        for u in (haar_state(n, rng).amps, StateVector.basis_state(n, n - 1).amps):
-            assert_rank_one_eigensystem(np.zeros(n), u, 1.0)
+        with np.errstate(**CLI_ERRSTATE):
+            for u in (haar_state(n, rng).amps, StateVector.basis_state(n, n - 1).amps):
+                assert_rank_one_eigensystem(np.zeros(n), u, 1.0)
 
     def test_one_eigenvalue_beside_zeros(self):
         # the paper driver: E mult |s><s| has N - 1 zero eigenvalues
@@ -289,14 +306,16 @@ class TestRankOneEigh:
         lam = gue_spectrum(32, rng)
         lam[4:9] = lam[4] + np.arange(5) * 1e-14
         lam[20:23] = lam[20]
-        assert_rank_one_eigensystem(np.sort(lam), haar_state(32, rng).amps, 1.0)
+        with np.errstate(**CLI_ERRSTATE):
+            assert_rank_one_eigensystem(np.sort(lam), haar_state(32, rng).amps, 1.0)
 
     def test_zero_and_tiny_components(self):
         rng = np.random.default_rng(5)
         u = haar_state(32, rng).amps.copy()
         u[[3, 9]] = 0.0
         u[[7, 30]] = 1e-20
-        assert_rank_one_eigensystem(gue_spectrum(32, rng), u / np.linalg.norm(u), 1.0)
+        with np.errstate(**CLI_ERRSTATE):
+            assert_rank_one_eigensystem(gue_spectrum(32, rng), u / np.linalg.norm(u), 1.0)
 
     @pytest.mark.parametrize("exponent", [-8, -4, 0, 4, 8])
     def test_rho_across_sixteen_decades(self, exponent):
@@ -344,6 +363,33 @@ class TestRankOneEigh:
             assert np.max(np.abs(mu[w] - one_mu[0])) <= 1e-14
             assert np.array_equal(phase[w], one_phase[0])
             assert np.max(np.abs(q[w] - one_q[0])) <= 1e-12
+
+    @pytest.mark.parametrize("n, rows", [(128, 4), (64, 16), (16, 16)])
+    def test_stacks_of_the_sizes_bound_solves(self, n, rows):
+        # bound's batches: ORACLE_BATCH_ELEMENTS // N^2 rows of a random-dense driver
+        assert_rank_one_eigensystem(*driver_rows("random-dense", n, rows), 1.0)
+
+    @pytest.mark.parametrize("family", ["paper", "zero"])
+    def test_deflated_stacks(self, family):
+        # N - 1 zero eigenvalues, or all N: most components deflate, row by row differently
+        with np.errstate(**CLI_ERRSTATE):
+            assert_rank_one_eigensystem(*driver_rows(family, 16, 16), 1.0)
+
+    def test_four_whole_table_evaluations_at_bound_size(self, monkeypatch):
+        # at bound's (4, 128) random-dense batch the middle and three steps take the whole
+        # table, and only the few roots left are evaluated again, on their own rows
+        sizes = []
+        evaluate = qsearch.linalg._secular_sums
+
+        def counted(delta, *rest):
+            sizes.append(delta.size)
+            return evaluate(delta, *rest)
+
+        monkeypatch.setattr(qsearch.linalg, "_secular_sums", counted)
+        rank_one_eigh(*driver_rows("random-dense", 128, 4), 1.0)
+        whole = 4 * 128 * 128
+        assert sizes[:4] == [whole] * 4
+        assert len(sizes) <= 7 and all(size <= whole // 4 for size in sizes[4:])
 
 
 @given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1), t=st.floats(-8.0, 8.0))

@@ -296,8 +296,8 @@ def _secular_roots(d: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarra
         rows_at = (p + right + k * np.arange(gaps.shape[0])[:, None]).ravel()
         from_origin = gaps.reshape(-1, k)
         # start at the middle, in the bracket (d_p, d_p+1), or (d_k, d_k + 2 sum w2) for the last root
-        tau, lo, hi = np.where(right, -reach, reach), np.where(right, -2.0 * reach, 0.0), 2.0 * reach
-        hi[right] = 0.0
+        tau = np.where(right, -reach, reach)
+        lo, hi = np.where(right, -2.0 * reach, 0.0), np.where(right, 0.0, 2.0 * reach)
         tau[:, -1], lo[:, -1], hi[:, -1] = reach[:, -1], 0.0, 4.0 * reach[:, -1]
         tau, lo, hi, right = tau.ravel(), lo.ravel(), hi.ravel(), right.ravel()
 

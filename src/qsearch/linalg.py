@@ -340,6 +340,7 @@ def _secular_roots(d: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarra
                 break
             # the whole table while most roots step, so that the weights need no gather
             at = slice(None) if 2 * left.size > count else left
+            # mode "clip" lets take write straight into `out` ("raise" buffers it); rows_at is in range
             delta = np.take(from_origin, rows_at[at], axis=0, mode="clip", out=table[:tau[at].size])
             delta -= tau[at, None]
             if at is left:

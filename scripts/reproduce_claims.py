@@ -62,6 +62,8 @@ def bound_table(outdir):
         ratios = [r[1] / r[2] for r in rows if r[2] > 0]
         t_eps = rep["summary"]["t_epsilon_second"]
         t_eps_text = f"{t_eps:.3f}" if t_eps is not None else "never"
+        if rep["summary"]["lower_bound_satisfied"] is False:
+            sys.exit(f"bound_{family}_x{mult}: t_eps {t_eps_text} falls more than a grid step below the floor")
         print(f"{family:>14} {mult:>7} {max(ratios):>12.4f} {t_eps_text:>13} "
               f"{rep['summary']['lower_bound']:>7.3f}")
     print("   (max D/bound stays below 1; crossings never beat the floor)\n")

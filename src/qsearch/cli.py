@@ -6,10 +6,10 @@ CSV with comment headers) embedding the config, seed, tool version and all
 derived constants, so downstream plotting needs no side channel. ``main``
 alone picks the exit code: 1 when the report's ``summary.pass`` is false or a
 computation's check of its own result raised ``QSearchError``; 2 for a usage
-error (a flag out of range, a library ``ValueError`` refusing the flags, or
-arithmetic beyond the range of a double); 0 otherwise. Every command is
-deterministic given its full flag set, and reruns at a fixed BLAS thread
-count produce byte-identical files.
+error (a flag out of range, a library ``ValueError`` refusing the flags,
+arithmetic beyond the range of a double, or an ``--out`` it cannot write); 0
+otherwise. Every command is deterministic given its full flag set, and reruns
+at a fixed BLAS thread count produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -186,9 +186,10 @@ def _write_report(payload: dict, out: str | None, fmt: str) -> None:
         lines.append(f"# command: {payload['command']}")
         for section in ("config", "derived", "summary"):
             for key, val in payload.get(section, {}).items():
-                if isinstance(val, (list, dict, np.ndarray)):
-                    continue  # vectors stay JSON-only; scalars are enough for CSV
-                lines.append(f"# {section}.{key} = {val}")
+                if isinstance(val, dict):  # grover's correspondence: one line per scalar
+                    lines.extend(f"# {section}.{key}.{sub} = {v}" for sub, v in val.items())
+                elif not isinstance(val, (list, np.ndarray)):  # vectors stay JSON-only
+                    lines.append(f"# {section}.{key} = {val}")
         series = payload["series"]
         lines.append(",".join(series["columns"]))
         for row in series["rows"]:
@@ -471,7 +472,10 @@ def main(argv: list[str] | None = None) -> int:
     bad = _non_finite_entry(payload)
     if bad is not None:  # Python floats overflow to inf without raising
         parser.error(f"the report's {bad} is not finite: {beyond}")
-    _write_report(payload, args.out, args.fmt)
+    try:
+        _write_report(payload, args.out, args.fmt)
+    except OSError as exc:  # a missing directory, a directory, no permission, a full disk
+        parser.error(f"cannot write the report to --out {args.out}: {exc.strerror}")
     if not payload["summary"]["pass"]:
         print(f"qsearch {args.command}: numerical check failed: {payload['summary']}", file=sys.stderr)
         return 1

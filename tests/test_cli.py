@@ -154,6 +154,7 @@ class TestCsvFormat:
         assert code == 0
         _, again = run_cli(args, tmp_path, name="b.csv")
         assert text == again
+        assert not any(l.startswith(("# derived.s ", "# derived.w ")) for l in text.splitlines())  # JSON-only
         lines = [l for l in text.splitlines() if not l.startswith("#")]
         header, rows = lines[0], lines[1:]
         assert header == "t,p_closed_form,p_full_space,abs_difference"
@@ -169,6 +170,14 @@ class TestCsvFormat:
         json_code, rep = run_cli(["stats", "--n", "16", "--samples", "1000"], tmp_path)
         mean_csv = float(data_line.split(",")[2])
         assert mean_csv == rep["derived"]["mean_x2"]  # 17 significant digits round-trip
+
+    def test_grover_csv_carries_the_correspondence(self, tmp_path):
+        code, text = run_cli(["grover", "--n", "64", "--format", "csv"], tmp_path, name="g.csv")
+        assert code == 0
+        _, rep = run_cli(["grover", "--n", "64"], tmp_path)
+        prefix = "# derived.correspondence."
+        header = dict(line[len(prefix):].split(" = ") for line in text.splitlines() if line.startswith(prefix))
+        assert {key: float(val) for key, val in header.items()} == rep["derived"]["correspondence"]
 
 
 def test_every_command_is_deterministic(tmp_path):
@@ -361,6 +370,21 @@ def test_analog_counts_its_n_part_and_grid_rows_against_one_budget(monkeypatch, 
     assert "this run needs about 31 MiB, more than the 16 MiB budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where, reason", [("missing/report.json", "No such file or directory"),
+                                           (".", "Is a directory")])
+def test_unwritable_out_exits_2_with_one_error_line(where, reason, tmp_path, capsys):
+    out = tmp_path / where
+    with pytest.raises(SystemExit) as exc:
+        main(["analog", "--n", "4", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert [line for line in lines if "error:" in line] == [lines[-1]]
+    assert lines[-1].endswith(f"error: cannot write the report to --out {out}: {reason}")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _assert_exit_1_without_report(argv, tmp_path, capsys, message=""):
     out = tmp_path / "report.json"
     assert main(argv + ["--out", str(out)]) == 1
@@ -487,24 +511,56 @@ def test_driver_strength_scan_script_runs():
     assert "no driver beats the floor" in proc.stdout
 
 
-def test_driver_strength_scan_exits_when_a_driver_beats_the_floor(monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location("driver_strength_scan", ROOT / "scripts" / "driver_strength_scan.py")
-    scan = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(scan)
-    discrimination_time = scan.discrimination_time
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def _early_crossing(discrimination_time):
+    """discrimination_time with the second crossing moved to t = 0, below every floor."""
 
     def early(traj, epsilon):
         return dataclasses.replace(discrimination_time(traj, epsilon), t_epsilon_second=0.0,
                                    lower_bound_satisfied=False)
 
-    monkeypatch.setattr(scan, "discrimination_time", early)
+    return early
+
+
+def test_driver_strength_scan_exits_when_a_driver_beats_the_floor(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "discrimination_time", _early_crossing(cli.discrimination_time))
     monkeypatch.setattr(sys, "argv", ["driver_strength_scan.py", "--n", "4"])
     with pytest.raises(SystemExit) as exc:
-        scan.main()
+        _load_script("driver_strength_scan").main()
     message = exc.value.code
     assert isinstance(message, str) and "\n" not in message  # one line on stderr, exit code 1
     assert message.startswith("paper driver at norm/E 1: t_eps 0.000") and "below the floor" in message
     assert "no driver beats the floor" not in capsys.readouterr().out
+
+
+def test_driver_strength_scan_refuses_what_the_cli_refuses_before_any_run(monkeypatch, capsys):
+    def no_run(cfg):
+        raise AssertionError("a bound run started")
+
+    monkeypatch.setattr(cli, "cmd_bound", no_run)
+    monkeypatch.setattr(sys, "argv", ["driver_strength_scan.py", "--n", "5000"])
+    with pytest.raises(SystemExit) as exc:
+        _load_script("driver_strength_scan").main()
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith("error: argument --n: must be <= 4096, got 5000")
+
+
+def test_reproduce_claims_exits_when_a_driver_beats_the_floor(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "discrimination_time", _early_crossing(cli.discrimination_time))
+    with pytest.raises(SystemExit) as exc:
+        _load_script("reproduce_claims").bound_table(tmp_path)
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message  # one line on stderr, exit code 1
+    assert message == "bound_paper_x1: t_eps 0.000 falls more than a grid step below the floor"
+    assert "crossings never beat the floor" not in capsys.readouterr().out
 
 
 def test_reproduce_claims_script_runs(tmp_path):

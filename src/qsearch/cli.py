@@ -43,7 +43,7 @@ from .grover import (
     run_grover,
 )
 from .linalg import StateVector, inner_product
-from .statistics import _CHUNK, GENERATOR_NAME, overlap_statistics, random_state
+from .statistics import _CHUNK, GENERATOR_NAME, _worker_count, overlap_statistics, random_state
 
 SCHEMA = "v1"
 
@@ -142,16 +142,17 @@ def _estimated_bytes(command: str, cfg: argparse.Namespace) -> int:
     if command == "bound":
         # per segment its N x N operator and 0.6 kB of objects; 200 bytes per N x N
         # entry for building an operator, the driver's eigensystem, the N basis states
-        # and the hand-off states; one batch of rank-one updates (measured: 126-142
+        # and the hand-off states; one batch of rank-one updates (measured: 104-111
         # bytes per N x N entry in all at N = 512, 48 per batch entry)
         segments = cfg.segments if cfg.driver == "piecewise" else 1
         return ((24 * cfg.n**2 + 600) * segments + 200 * cfg.n**2
                 + 128 * min(cfg.n**3, ORACLE_BATCH_ELEMENTS))
-    # stats: 60 bytes per coordinate pair of one chunk (two raw words and the
-    # float32 terms) of up to _CHUNK pairs, or one sample if n is larger; then
-    # a few float64 arrays of one entry per sample
+    # stats: 60 bytes per coordinate pair of each chunk in flight, one a worker
+    # (measured: 28, the two raw words and the worker's three float32 terms), of
+    # up to _CHUNK pairs, or one sample if n is larger; then a few float64
+    # arrays of one entry per sample
     pairs = cfg.n * min(max(1, _CHUNK // cfg.n), cfg.samples)
-    return 60 * pairs + 24 * cfg.samples
+    return 60 * pairs * _worker_count(cfg.n, cfg.samples) + 24 * cfg.samples
 
 
 def _non_finite_entry(payload: dict) -> str | None:

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import qsearch.bound
 import qsearch.cli as cli
 import qsearch.grover
+import qsearch.statistics
 from qsearch.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -484,6 +486,56 @@ def test_stats_report_is_independent_of_blas_thread_count(tmp_path):
         assert proc.returncode == 0, proc.stderr
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_stats_report_is_independent_of_the_worker_count(tmp_path, monkeypatch):
+    reports = []
+    for workers in (1, 2):
+        monkeypatch.setattr(qsearch.statistics, "_worker_count", lambda n, m, w=workers: w)
+        out = tmp_path / f"workers{workers}.json"
+        assert main(["stats", "--n", "256", "--samples", "20000", "--seed", "3", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_arithmetic_error_in_a_stats_worker_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # The second worker takes log(0): it raises only under main's np.errstate,
+    # which that thread has only if it runs in the caller's context.
+    chunk_x2 = qsearch.statistics._chunk_x2
+    taken = threading.Event()
+
+    def log_zero_in_a_worker(raw, out, scratch):
+        if threading.current_thread() is threading.main_thread():
+            assert taken.wait(timeout=60)
+        else:
+            taken.set()
+            np.log(np.float64(0.0))
+        chunk_x2(raw, out, scratch)
+
+    monkeypatch.setattr(qsearch.statistics, "_chunk_x2", log_zero_in_a_worker)
+    monkeypatch.setattr(qsearch.statistics, "_worker_count", lambda n, m: 2)
+    out = tmp_path / "stats.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--n", "1024", "--samples", "1000", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["stats", "--n", "100000", "--samples", "100"],
+                                  ["stats", "--n", "1024", "--samples", "20000"]])
+def test_stats_peaks_within_its_estimate(argv):
+    # each worker holds one chunk in flight, and the estimate charges a chunk a worker
+    estimate = cli._estimated_bytes("stats", cli.build_parser().parse_args(argv))
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--out", os.devnull]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate
 
 
 def test_benchmark_tracer_installs_and_removes_its_wrappers(tmp_path, monkeypatch):

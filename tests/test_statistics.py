@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from qsearch import (
     overlap_statistics,
     random_state,
 )
+import qsearch.statistics
 from qsearch.statistics import _CHUNK, _sample_x2
 
 from conftest import haar_state
@@ -139,6 +142,54 @@ class TestPolarSampler:
         finally:
             tracemalloc.stop()
         assert peak <= 8 << 20
+
+
+class TestWorkers:
+    # Each case ends on a ragged chunk, but n = _CHUNK + 1, where a chunk is one sample.
+    @pytest.mark.parametrize("n, m", [(2, 100_003), (16, 10_001), (1024, 1_000), (_CHUNK + 1, 7)])
+    def test_any_worker_count_draws_the_same_samples(self, n, m, monkeypatch):
+        # three workers on fewer cores, switching threads every microsecond
+        interval = sys.getswitchinterval()
+        samples = []
+        try:
+            sys.setswitchinterval(1e-6)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(qsearch.statistics, "_worker_count", lambda n, m, w=workers: w)
+                samples.append(_sample_x2(n, m, _sfc64(n)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(samples[0], samples[1])
+        assert np.array_equal(samples[0], samples[2])
+
+    def test_worker_count_is_capped_by_cpus_chunks_and_two(self, monkeypatch):
+        monkeypatch.setattr(qsearch.statistics.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        # one, two and three chunks: 64 samples a chunk at n = 1024
+        assert [qsearch.statistics._worker_count(1024, m) for m in (64, 65, 129)] == [1, 2, 2]
+        assert qsearch.statistics._worker_count(_CHUNK + 1, 2) == 2
+        monkeypatch.setattr(qsearch.statistics.os, "sched_getaffinity", lambda pid: {3})
+        assert qsearch.statistics._worker_count(1024, 20_000) == 1
+        monkeypatch.delattr(qsearch.statistics.os, "sched_getaffinity")  # as off Linux
+        monkeypatch.setattr(qsearch.statistics.os, "cpu_count", lambda: None)
+        assert qsearch.statistics._worker_count(1024, 20_000) == 1
+
+    def test_a_failing_chunk_stops_the_workers_and_is_raised(self, monkeypatch):
+        # 100 chunks on two workers: the second one to start raises
+        chunk_x2 = qsearch.statistics._chunk_x2
+        lock = threading.Lock()
+        calls = []
+
+        def failing(raw, out, scratch):
+            with lock:
+                calls.append(len(out))
+                if len(calls) == 2:
+                    raise RuntimeError("chunk two")
+            chunk_x2(raw, out, scratch)
+
+        monkeypatch.setattr(qsearch.statistics, "_chunk_x2", failing)
+        monkeypatch.setattr(qsearch.statistics, "_worker_count", lambda n, m: 2)
+        with pytest.raises(RuntimeError, match="chunk two"):
+            overlap_statistics(1024, 6400, seed=1)
+        assert len(calls) < 100
 
 
 class TestUnitaryInvariance:
